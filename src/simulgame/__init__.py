@@ -59,11 +59,8 @@ from .rulesets import (
 from .sums import (
     SumPosition,
     conjunctive,
-    conjunctive_options,
     continued_conjunctive,
-    continued_conjunctive_options,
     disjunctive,
-    disjunctive_options,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

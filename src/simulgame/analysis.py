@@ -39,14 +39,10 @@ def reduce_game(p: Position, convention: str = NORMAL, *, memo: Memo | None = No
         [evaluate(cell, convention, memo=memo).ex for cell in row] for row in matrix.cells
     ]
     _, keep_rows, keep_cols = eliminate_dominated(values)
-    lefts = tuple(
-        reduce_game(p.left_successor(matrix.row_labels[i]), convention, memo=memo)
-        for i in keep_rows
-    )
-    rights = tuple(
-        reduce_game(p.right_successor(matrix.col_labels[j]), convention, memo=memo)
-        for j in keep_cols
-    )
+    # Matrix rows and columns follow option order.
+    left_options, right_options = p.left_options(), p.right_options()
+    lefts = tuple(reduce_game(left_options[i][1], convention, memo=memo) for i in keep_rows)
+    rights = tuple(reduce_game(right_options[j][1], convention, memo=memo) for j in keep_cols)
     table = tuple(
         tuple(reduce_game(matrix.cells[i][j], convention, memo=memo) for j in keep_cols)
         for i in keep_rows

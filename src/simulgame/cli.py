@@ -36,7 +36,6 @@ from .errors import (
     BadParameters,
     GameSyntaxError,
     LoopyGame,
-    RefusesSum,
     SizeLimit,
     UnknownRuleset,
 )
@@ -278,11 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except RefusesSum as exc:  # defensive; cmd_reduce guards first
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_PARSE
+    return args.func(args)
 
 
 if __name__ == "__main__":

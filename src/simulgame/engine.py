@@ -106,10 +106,6 @@ def _env_limit() -> int | None:
 _default_memo = Memo(_env_limit())
 
 
-def default_memo() -> Memo:
-    return _default_memo
-
-
 def clear_memo() -> None:
     _default_memo.clear()
 

@@ -60,7 +60,3 @@ class GameSyntaxError(SimulgameError):
 
 class MixedOperators(GameSyntaxError):
     """Two distinct sum operators appeared unparenthesized at one level."""
-
-
-class RefusesSum(SimulgameError):
-    """Reduction was requested for an expression containing a sum operator."""

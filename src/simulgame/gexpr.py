@@ -23,9 +23,13 @@ import re
 from dataclasses import dataclass
 
 from .errors import BadLiteral, GameSyntaxError, MixedOperators, UnknownRuleset
-from .position import ExplicitGame, outcome_literal, score
+from .position import ExplicitGame, ScoreLiteral, outcome_literal, score
 from .rulesets import (
     BUILTIN_BOARDS,
+    ClobberPosition,
+    HackenbushPosition,
+    SqPosition,
+    _path_edges,
     clobber_complete,
     clobber_strip,
     hb_cordon,
@@ -373,10 +377,6 @@ def render(expr) -> str:
     raise BadLiteral(f"cannot render {expr!r}")
 
 
-def contains_sum(expr) -> bool:
-    return isinstance(expr, SumExpr)
-
-
 def to_position(expr):
     """Lower a tree to a Position."""
     if isinstance(expr, SumExpr):
@@ -432,9 +432,6 @@ def render_position(p) -> str:
     (pruned graphs, primed variants with unusual blocks) fall back to their
     canonical keys, which are not reparseable.
     """
-    from .position import ScoreLiteral
-    from .rulesets import ClobberPosition, HackenbushPosition, SqPosition, _path_edges
-
     if isinstance(p, ScoreLiteral):
         if p.value.denominator == 1:
             return f"s({p.value})"

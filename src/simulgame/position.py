@@ -43,7 +43,7 @@ EMPTY_MATRIX = MoveMatrix((), (), ())
 
 
 class Position:
-    """Base class: subclasses provide options and a canonical key."""
+    """Base class: subclasses provide options and the text of a canonical key."""
 
     ruleset_tag = "abstract"
 
@@ -58,10 +58,19 @@ class Position:
     def joint_option(self, left_label: str, right_label: str) -> "Position":
         raise NotImplementedError
 
-    def canonical_key(self) -> str:
+    def _key_text(self) -> str:
         raise NotImplementedError
 
     # Derived behaviour ------------------------------------------------------
+
+    _key = None
+
+    def canonical_key(self) -> str:
+        """The subclass key text, built on first use and kept on the instance."""
+        if self._key is None:
+            # object.__setattr__ because the rulesets are frozen dataclasses.
+            object.__setattr__(self, "_key", self._key_text())
+        return self._key
 
     def has_left_option(self) -> bool:
         return bool(self.left_options())
@@ -111,18 +120,6 @@ class Position:
 
     def swap_roles(self) -> "Position":
         raise NotImplementedError(f"{self.ruleset_tag} has no defined role swap")
-
-    def left_successor(self, label: str) -> "Position":
-        for lbl, succ in self.left_options():
-            if lbl == label:
-                return succ
-        raise KeyError(label)
-
-    def right_successor(self, label: str) -> "Position":
-        for lbl, succ in self.right_options():
-            if lbl == label:
-                return succ
-        raise KeyError(label)
 
 
 def require_position(p) -> Position:
@@ -177,7 +174,7 @@ class ScoreLiteral(Position):
     def joint_option(self, left_label, right_label):
         raise KeyError((left_label, right_label))
 
-    def canonical_key(self) -> str:
+    def _key_text(self) -> str:
         return f"s({self.value})"
 
     def component_score(self) -> Fraction:
@@ -218,7 +215,7 @@ class ExplicitGame(Position):
     def joint_option(self, left_label, right_label):
         return self.table[int(left_label[1:])][int(right_label[1:])]
 
-    def canonical_key(self) -> str:
+    def _key_text(self) -> str:
         ls = ",".join(g.canonical_key() for g in self.lefts)
         rs = ",".join(g.canonical_key() for g in self.rights)
         ts = ";".join(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadCordonSpec, BadParameters, IllegalMove
+from .errors import BadCordonSpec, BadParameters, IllegalMove, NotTerminal
 from .position import Position
 
 BLUE, RED, GREEN = "B", "R", "G"
@@ -75,7 +75,7 @@ class SqPosition(Position):
         rmove = (int(right_label[:-1]), right_label[-1])
         return sq_simultaneous(self, lmove, rmove)
 
-    def canonical_key(self) -> str:
+    def _key_text(self) -> str:
         def fs(s):
             return ",".join(str(x) for x in sorted(s))
 
@@ -189,7 +189,7 @@ class ClobberPosition(Position):
         ru, rv = (int(x) for x in right_label.split(">"))
         return clobber_simultaneous(self, (lu, lv), (ru, rv))
 
-    def canonical_key(self) -> str:
+    def _key_text(self) -> str:
         es = ",".join(f"{u}-{v}" for u, v in sorted(self.edges))
         return f"cl({es}|{''.join(self.occupancy)}|{self.acc})"
 
@@ -281,7 +281,7 @@ class HackenbushPosition(Position):
         kept = tuple(e for e in self.edges if e[0] not in ids)
         return HackenbushPosition(self.roots, kept)
 
-    def canonical_key(self) -> str:
+    def _key_text(self) -> str:
         rs = ",".join(str(r) for r in sorted(self.roots))
         es = ";".join(f"{i}:{u}-{v}{c}" for i, u, v, c in self.edges)
         return f"hb(roots[{rs}]|{es})"
@@ -307,8 +307,6 @@ class HackenbushPosition(Position):
 
 def hackenbush_score(p: HackenbushPosition) -> Fraction:
     """Score of a finished board: the signed count of the surviving colour."""
-    from .errors import NotTerminal
-
     if not p.is_terminal():
         raise NotTerminal("hackenbush score reads a terminal position")
     return p.component_score()

@@ -1,9 +1,15 @@
 """Disjunctive, conjunctive, and continued-conjunctive sums.
 
 A sum is itself a position, so sums nest and components may come from
-different rulesets.  Evaluation of a sum is always global: the sum builds
-one move matrix over whole strategy tuples and never pre-reduces its
-components (reducing components first changes values; see the analysis
+different rulesets.  The three kinds differ only in which components a
+player moves in and in when play stops.  A player's pure strategy is one
+move in each component that player moves in; the sum's options and its
+move matrix both come from that one enumeration.  A matrix cell is
+composed from the components: a component both players moved in takes the
+cell of its own move matrix, and any other moved component takes its
+unilateral successor.  Evaluation of a sum is still global: the sum's
+matrix ranges over whole strategy tuples, and its components are never
+pre-reduced (reducing components first changes values; see the analysis
 module for the witnesses).
 
 Termination and winner rules per kind:
@@ -26,7 +32,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import BadParameters
+from .errors import BadParameters, NotTerminal
 from .position import (
     OUTCOME_DRAW,
     OUTCOME_LEFT,
@@ -45,7 +51,12 @@ SUM_KINDS = (DISJUNCTIVE, CONJUNCTIVE, CONTINUED)
 
 class SumPosition(Position):
     """A sum of at least two component positions, flattened and canonically
-    ordered so that commutative rearrangements are the same position."""
+    ordered so that commutative rearrangements are the same position.
+
+    The key is built eagerly, since it orders the components.  The move
+    matrix is composed from the components' own matrices, each built at
+    most once per sum matrix, and its rows and columns follow option order.
+    """
 
     ruleset_tag = "sum"
 
@@ -73,9 +84,6 @@ class SumPosition(Position):
     def __repr__(self):
         return f"SumPosition({self.kind!r}, {list(self.components)!r})"
 
-    def canonical_key(self) -> str:
-        return self._key
-
     # -- option structure ----------------------------------------------------
 
     def _live(self):
@@ -86,124 +94,91 @@ class SumPosition(Position):
         comps = [updates.get(i, c) for i, c in enumerate(self.components)]
         return SumPosition(self.kind, comps)
 
-    def _unilateral(self, left: bool):
-        def options(c):
-            return c.left_options() if left else c.right_options()
+    def _strategies(self, left: bool):
+        """One player's pure strategies, each a tuple of component moves
+        ``(component, option index, label, successor)``."""
+
+        def moves(i):
+            comp = self.components[i]
+            options = comp.left_options() if left else comp.right_options()
+            return [(i, k, lbl, succ) for k, (lbl, succ) in enumerate(options)]
 
         if self.kind == DISJUNCTIVE:
-            out = []
-            for i, comp in enumerate(self.components):
-                for lbl, succ in options(comp):
-                    out.append((f"{i}:{lbl}", self._replace({i: succ})))
-            return tuple(out)
+            return [(move,) for i in range(len(self.components)) for move in moves(i)]
         # A finished conjunctive or continued sum offers no moves at all;
         # only the pick-one-component sum keeps exposing component moves
         # from its own terminal states (a one-sided component is playable
         # there until the mover runs out everywhere).
         if self.is_terminal():
-            return ()
-        if self.kind == CONJUNCTIVE:
-            per_comp = [options(c) for c in self.components]
-            indices = range(len(self.components))
-        else:
-            live = self._live()
-            per_comp = [options(self.components[i]) for i in live]
-            indices = live
-        out = []
-        for combo in itertools.product(*per_comp):
-            label = "|".join(f"{i}:{lbl}" for i, (lbl, _) in zip(indices, combo))
-            updates = {i: succ for i, (_, succ) in zip(indices, combo)}
-            out.append((label, self._replace(updates)))
-        return tuple(out)
+            return []
+        indices = range(len(self.components)) if self.kind == CONJUNCTIVE else self._live()
+        return list(itertools.product(*(moves(i) for i in indices)))
+
+    def _options(self, left: bool):
+        return tuple(
+            (_label(strategy), self._replace({i: succ for i, _, _, succ in strategy}))
+            for strategy in self._strategies(left)
+        )
 
     def left_options(self):
-        return self._unilateral(left=True)
+        return self._options(left=True)
 
     def right_options(self):
-        return self._unilateral(left=False)
+        return self._options(left=False)
+
+    def has_left_option(self) -> bool:
+        if self.kind == DISJUNCTIVE:
+            return any(c.has_left_option() for c in self.components)
+        return not self.is_terminal()
+
+    def has_right_option(self) -> bool:
+        if self.kind == DISJUNCTIVE:
+            return any(c.has_right_option() for c in self.components)
+        return not self.is_terminal()
 
     def is_terminal(self) -> bool:
-        comps = self.components
         if self.kind == DISJUNCTIVE:
-            return not (
-                any(c.has_left_option() for c in comps)
-                and any(c.has_right_option() for c in comps)
-            )
+            return not (self.has_left_option() and self.has_right_option())
         if self.kind == CONJUNCTIVE:
-            return any(c.is_terminal() for c in comps)
+            return any(c.is_terminal() for c in self.components)
         return not self._live()
 
     def move_matrix(self) -> MoveMatrix:
+        """Rows and columns follow option order."""
         if self.is_terminal():
             return EMPTY_MATRIX
-        if self.kind == DISJUNCTIVE:
-            return self._disjunctive_matrix()
-        indices = (
-            list(range(len(self.components)))
-            if self.kind == CONJUNCTIVE
-            else self._live()
-        )
-        left_moves = [self.components[i].left_options() for i in indices]
-        right_moves = [self.components[i].right_options() for i in indices]
-        rows = list(itertools.product(*left_moves))
-        cols = list(itertools.product(*right_moves))
+        rows = self._strategies(left=True)
+        cols = self._strategies(left=False)
+        component_cells = {}
+
+        def joint(i, lk, rk):
+            if i not in component_cells:
+                component_cells[i] = self.components[i].move_matrix().cells
+            return component_cells[i][lk][rk]
+
         cells = []
         for row in rows:
+            moved = {i: lk for i, lk, _, _ in row}
+            row_updates = {i: succ for i, _, _, succ in row}
             line = []
             for col in cols:
-                updates = {}
-                for i, (llbl, _), (rlbl, _) in zip(indices, row, col):
-                    updates[i] = self.components[i].joint_option(llbl, rlbl)
+                updates = dict(row_updates)
+                for i, rk, _, succ in col:
+                    updates[i] = joint(i, moved[i], rk) if i in moved else succ
                 line.append(self._replace(updates))
             cells.append(tuple(line))
-        row_labels = tuple(
-            "|".join(f"{i}:{lbl}" for i, (lbl, _) in zip(indices, row)) for row in rows
-        )
-        col_labels = tuple(
-            "|".join(f"{i}:{lbl}" for i, (lbl, _) in zip(indices, col)) for col in cols
-        )
-        return MoveMatrix(row_labels, col_labels, tuple(cells))
-
-    def _disjunctive_matrix(self) -> MoveMatrix:
-        lefts = []
-        rights = []
-        for i, comp in enumerate(self.components):
-            for lbl, succ in comp.left_options():
-                lefts.append((i, lbl, succ))
-            for lbl, succ in comp.right_options():
-                rights.append((i, lbl, succ))
-        cells = []
-        for i, llbl, lsucc in lefts:
-            line = []
-            for j, rlbl, rsucc in rights:
-                if i == j:
-                    line.append(self._replace({i: self.components[i].joint_option(llbl, rlbl)}))
-                else:
-                    line.append(self._replace({i: lsucc, j: rsucc}))
-            cells.append(tuple(line))
         return MoveMatrix(
-            tuple(f"{i}:{lbl}" for i, lbl, _ in lefts),
-            tuple(f"{j}:{lbl}" for j, lbl, _ in rights),
-            tuple(cells),
+            tuple(_label(row) for row in rows), tuple(_label(col) for col in cols), tuple(cells)
         )
-
-    def joint_option(self, left_label, right_label):
-        matrix = self.move_matrix()
-        return matrix.cells[matrix.row_labels.index(left_label)][
-            matrix.col_labels.index(right_label)
-        ]
 
     # -- terminal readings -----------------------------------------------------
 
     def normal_outcome(self) -> str:
         if not self.is_terminal():
-            from .errors import NotTerminal
-
             raise NotTerminal("outcome is defined for terminal positions only")
         comps = self.components
         if self.kind == DISJUNCTIVE:
-            left_ok = any(c.has_left_option() for c in comps)
-            right_ok = any(c.has_right_option() for c in comps)
+            left_ok, right_ok = self.has_left_option(), self.has_right_option()
         elif self.kind == CONJUNCTIVE:
             done = [c for c in comps if c.is_terminal()]
             left_ok = all(c.has_left_option() for c in done)
@@ -219,8 +194,6 @@ class SumPosition(Position):
 
     def terminal_score(self) -> Fraction:
         if not self.is_terminal():
-            from .errors import NotTerminal
-
             raise NotTerminal("score is defined for terminal positions only")
         if self.kind == CONJUNCTIVE:
             parts = [c for c in self.components if c.is_terminal()]
@@ -234,6 +207,10 @@ class SumPosition(Position):
         return Fraction(v_a(self))
 
 
+def _label(strategy) -> str:
+    return "|".join(f"{i}:{lbl}" for i, _, lbl, _ in strategy)
+
+
 def disjunctive(*components) -> SumPosition:
     return SumPosition(DISJUNCTIVE, components)
 
@@ -244,21 +221,3 @@ def conjunctive(*components) -> SumPosition:
 
 def continued_conjunctive(*components) -> SumPosition:
     return SumPosition(CONTINUED, components)
-
-
-def _kind_matrix(s: SumPosition, kind: str) -> MoveMatrix:
-    if not isinstance(s, SumPosition) or s.kind != kind:
-        raise BadParameters(f"expected a {kind!r} sum")
-    return s.move_matrix()
-
-
-def disjunctive_options(s: SumPosition) -> MoveMatrix:
-    return _kind_matrix(s, DISJUNCTIVE)
-
-
-def conjunctive_options(s: SumPosition) -> MoveMatrix:
-    return _kind_matrix(s, CONJUNCTIVE)
-
-
-def continued_conjunctive_options(s: SumPosition) -> MoveMatrix:
-    return _kind_matrix(s, CONTINUED)

@@ -145,7 +145,16 @@ def test_reduce_keeps_top_edge_of_blue_led_stalk():
 
 
 def test_reduce_preserves_value():
-    sample = [sq({1}, {2}, 6), sq({1}, {2}, 5, primed=True), hb_stalk("BRBR"), clobber_strip("OXO")]
+    from simulgame.sums import conjunctive, disjunctive
+
+    sample = [
+        sq({1}, {2}, 6),
+        sq({1}, {2}, 5, primed=True),
+        hb_stalk("BRBR"),
+        clobber_strip("OXO"),
+        disjunctive(sq({1}, {2}, 3), hb_stalk("BR")),
+        conjunctive(disjunctive(sq({1}, {2}, 2), hb_stalk("BR")), sq({1}, {3}, 3)),
+    ]
     for convention in (NORMAL, SCORING):
         for p in sample:
             reduced = reduce_game(p, convention, memo=MEMO)

@@ -238,20 +238,12 @@ def test_move_count_score_requires_one_sided_position():
 
 
 def test_kind_specific_option_builders():
-    from simulgame.sums import (
-        conjunctive_options,
-        continued_conjunctive_options,
-        disjunctive_options,
-    )
-
     d = disjunctive(s12(2), s12(2))
-    assert len(disjunctive_options(d).row_labels) == 4
+    assert d.move_matrix().row_labels == ("0:1l", "0:1r", "1:1l", "1:1r")
     c = conjunctive(s12(3), s12(3))
-    assert len(conjunctive_options(c).row_labels) == 4
+    assert len(c.move_matrix().row_labels) == 4
     v = continued_conjunctive(s12(1), s12(2), s12(3))
-    assert len(continued_conjunctive_options(v).row_labels) == 4
-    with pytest.raises(BadParameters):
-        conjunctive_options(d)
+    assert v.move_matrix().row_labels == ("1:1l|2:1l", "1:1l|2:1r", "1:1r|2:1l", "1:1r|2:1r")
 
 
 def test_matrix_empty_exactly_when_terminal():
@@ -266,9 +258,18 @@ def test_matrix_empty_exactly_when_terminal():
         conjunctive(s12(1), s12(3)),
         continued_conjunctive(s12(1), s12(0)),
         continued_conjunctive(s12(2), s12(3)),
+        conjunctive(disjunctive(s12(1), s12(2)), hb_stalk("BR")),
+        disjunctive(hb_stalk("BB"), s12(0)),
     ]
     for p in sample:
-        assert p.move_matrix().is_empty == p.is_terminal()
+        matrix = p.move_matrix()
+        assert matrix.is_empty == p.is_terminal()
+        # analysis.reduce_game reads successors by row and column index.
+        if not matrix.is_empty:
+            assert matrix.row_labels == tuple(lbl for lbl, _ in p.left_options())
+            assert matrix.col_labels == tuple(lbl for lbl, _ in p.right_options())
+        assert p.has_left_option() == bool(p.left_options())
+        assert p.has_right_option() == bool(p.right_options())
 
 
 def test_outcome_literals():
