@@ -2,7 +2,10 @@
 
 ``evaluate`` computes the expected value of a position under either winning
 convention by backward induction: terminal payoffs at the leaves, the exact
-matrix-game value everywhere else.  Results are memoized by canonical key.
+matrix-game value everywhere else.  The memo holds values only, keyed by
+canonical key: a key may stand for several isomorphic boards whose options
+come in different orders, so mixes are never stored.  ``evaluate`` always
+solves the root's own matrix and takes only its cells' values from the memo.
 ``guarantee_profile`` evaluates the two security transforms of the same game
 (win payoffs only) to get each player's guaranteed winning probability.
 """
@@ -71,8 +74,10 @@ class GuaranteeProfile:
 class Memo:
     """Value table keyed by (canonical key, convention, transform).
 
-    Insertion is idempotent: re-inserting a key must carry the same value.
-    A limit of 0 disables storage entirely; None means unlimited.
+    It stores exact values only, never mixes or reports, so one entry can
+    serve every board that shares the key.  Insertion is idempotent:
+    re-inserting a key must carry the same value.  A limit of 0 disables
+    storage entirely; None means unlimited.
     """
 
     def __init__(self, limit: int | None = None):
@@ -157,16 +162,32 @@ def evaluate(
 ) -> ValueReport:
     """Expected value of p with optimal mixes attached.
 
+    The root's matrix is always built and solved here, so its mixes follow
+    p's own option order; the memo only supplies the values of its cells.
     Raises LoopyGame if a position repeats along a descent path.
     """
     require_position(p)
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     table = memo if memo is not None else _default_memo
-    return _evaluate(p, convention, transform, table, set())
+    key = (p.canonical_key(), convention, transform)
+    if p.is_terminal():
+        report = ValueReport(_terminal_payoff(p, convention, transform), (), (), True)
+    else:
+        path = {key}
+        values = [
+            [_value(cell, convention, transform, table, path) for cell in row]
+            for row in p.move_matrix().cells
+        ]
+        sol = game_value(values)
+        report = ValueReport(sol.value, sol.row_mix, sol.col_mix, False)
+    table.put(key, report.ex)
+    return report
 
 
-def _evaluate(p, convention, transform, memo, path) -> ValueReport:
+def _value(p, convention, transform, memo, path) -> Fraction:
+    """Value of p, read from or stored in the memo; the recursion keeps no
+    mixes, and builds each matrix inline to keep the stack shallow."""
     key = (p.canonical_key(), convention, transform)
     hit = memo.get(key)
     if hit is not None:
@@ -174,19 +195,17 @@ def _evaluate(p, convention, transform, memo, path) -> ValueReport:
     if key in path:
         raise LoopyGame(f"position repeats along a play line: {key[0]}")
     if p.is_terminal():
-        report = ValueReport(_terminal_payoff(p, convention, transform), (), (), True)
+        value = _terminal_payoff(p, convention, transform)
     else:
         path.add(key)
-        matrix = p.move_matrix()
         values = [
-            [_evaluate(cell, convention, transform, memo, path).ex for cell in row]
-            for row in matrix.cells
+            [_value(cell, convention, transform, memo, path) for cell in row]
+            for row in p.move_matrix().cells
         ]
         path.discard(key)
-        sol = game_value(values)
-        report = ValueReport(sol.value, sol.row_mix, sol.col_mix, False)
-    memo.put(key, report)
-    return report
+        value = game_value(values).value
+    memo.put(key, value)
+    return value
 
 
 def guarantee_profile(

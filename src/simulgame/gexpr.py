@@ -430,7 +430,8 @@ def render_position(p) -> str:
 
     Display helper for the CLI; positions that left the literal families
     (pruned graphs, primed variants with unusual blocks) fall back to their
-    canonical keys, which are not reparseable.
+    canonical keys, which are not reparseable.  A clobber board prints its
+    own edges and occupancy instead, since its key is relabelled.
     """
     if isinstance(p, ScoreLiteral):
         if p.value.denominator == 1:
@@ -451,7 +452,8 @@ def render_position(p) -> str:
     if isinstance(p, ClobberPosition):
         if p.acc == 0 and p.edges == _path_edges(len(p.occupancy)):
             return f"cl[{''.join(p.occupancy)}]"
-        return p.canonical_key()
+        es = ",".join(f"{u}-{v}" for u, v in sorted(p.edges))
+        return f"cl({es}|{''.join(p.occupancy)}|{p.acc})"
     if isinstance(p, HackenbushPosition):
         if p.roots == frozenset({0}) and all(
             e == (i, i, i + 1, e[3]) for i, e in enumerate(p.edges)

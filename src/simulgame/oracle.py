@@ -2,8 +2,10 @@
 
 Shares only the position model with the engine: backward induction here
 uses exhaustive support enumeration for every matrix value, never the
-simplex solver, and keeps its own table.  Bounded to small games on
-purpose; raises SizeLimit beyond the bounds.
+simplex solver, and keeps its own table.  That table is keyed on the
+positions themselves (field-wise equality), not on canonical keys, so the
+engine's isomorphism-reduced keys never decide a value here.  Bounded to
+small games on purpose; raises SizeLimit beyond the bounds.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ def brute_ex(
 
 
 def _brute(p, convention, transform, seen, path, max_positions) -> Fraction:
-    key = p.canonical_key()
-    if key in seen:
-        return seen[key]
-    if key in path:
-        raise LoopyGame(f"position repeats along a play line: {key}")
+    if p in seen:
+        return seen[p]
+    if p in path:
+        raise LoopyGame(f"position repeats along a play line: {p.canonical_key()}")
     if len(seen) >= max_positions:
         raise SizeLimit(f"more than {max_positions} distinct positions")
     if p.is_terminal():
@@ -45,13 +46,13 @@ def _brute(p, convention, transform, seen, path, max_positions) -> Fraction:
                 f"{len(matrix.row_labels)}x{len(matrix.col_labels)} matrix exceeds "
                 f"the oracle bound of {MAX_SIDE}"
             )
-        below = path | {key}
+        below = path | {p}
         values = [
             [_brute(cell, convention, transform, seen, below, max_positions) for cell in row]
             for row in matrix.cells
         ]
         value = support_enumeration_value(values)
-    seen[key] = value
+    seen[p] = value
     return value
 
 

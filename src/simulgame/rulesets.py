@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BadCordonSpec, BadParameters, IllegalMove, NotTerminal
 from .position import Position
@@ -129,6 +130,15 @@ class ClobberPosition(Position):
     start-of-round occupancy: a piece that moved away this round cannot be
     captured, and a vacated target square is occupied without capture.
     Mutual clobbers annihilate both movers and credit nothing.
+
+    A move always lands on a square that held an opposing piece, so an
+    empty square never fills again: the game is the coloured graph induced
+    on the occupied squares, plus ``acc``.  The canonical key spells that
+    graph relabelled in a colour-refinement order, so boards that differ
+    only by a relabelling (a reversed path, a segment moved along the
+    board, the pieces of ``cl:Kn``) usually share one key.  Equal keys
+    always mean isomorphic games; ties the refinement cannot split may give
+    isomorphic boards different keys, which loses sharing but no value.
     """
 
     edges: frozenset[tuple[int, int]]
@@ -147,24 +157,27 @@ class ClobberPosition(Position):
             if not (0 <= u < len(self.occupancy) and 0 <= v < len(self.occupancy)):
                 raise BadParameters("edge endpoint outside the board")
 
-    def _neighbors(self, u: int):
-        out = []
-        for a, b in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
+    def _neighbors(self):
+        """Sorted neighbours of every square, shared by all boards on one edge set."""
+        return _adjacency(self.edges, len(self.occupancy))
 
     def _piece_moves(self, mover: str, target: str):
-        out = []
-        for u, ch in enumerate(self.occupancy):
-            if ch != mover:
-                continue
-            for v in self._neighbors(u):
-                if self.occupancy[v] == target:
-                    out.append((u, v))
-        return out
+        neighbors = self._neighbors()
+        return [
+            (u, v)
+            for u, ch in enumerate(self.occupancy)
+            if ch == mover
+            for v in neighbors[u]
+            if self.occupancy[v] == target
+        ]
+
+    def _can_clobber(self, move, mover: str, target: str) -> bool:
+        u, v = move
+        return (
+            ((u, v) in self.edges or (v, u) in self.edges)
+            and self.occupancy[u] == mover
+            and self.occupancy[v] == target
+        )
 
     def left_options(self):
         return tuple(
@@ -190,20 +203,47 @@ class ClobberPosition(Position):
         return clobber_simultaneous(self, (lu, lv), (ru, rv))
 
     def _key_text(self) -> str:
-        es = ",".join(f"{u}-{v}" for u, v in sorted(self.edges))
-        return f"cl({es}|{''.join(self.occupancy)}|{self.acc})"
+        neighbors = self._neighbors()
+        colour = {u: ch for u, ch in enumerate(self.occupancy) if ch != "_"}
+        classes = len(set(colour.values()))
+        while True:
+            signature = {
+                u: (c, tuple(sorted(colour[v] for v in neighbors[u] if v in colour)))
+                for u, c in colour.items()
+            }
+            rank = {s: i for i, s in enumerate(sorted(set(signature.values())))}
+            if len(rank) == classes:
+                break
+            colour = {u: rank[s] for u, s in signature.items()}
+            classes = len(rank)
+        order = sorted(colour, key=lambda u: (colour[u], u))
+        index = {u: i for i, u in enumerate(order)}
+        edges = sorted(
+            tuple(sorted((index[u], index[v]))) for u, v in self.edges if u in index and v in index
+        )
+        es = ",".join(f"{a}-{b}" for a, b in edges)
+        return f"cl({es}|{''.join(self.occupancy[u] for u in order)}|{self.acc})"
 
     def component_score(self) -> Fraction:
         return Fraction(self.acc)
+
+
+@lru_cache(maxsize=64)
+def _adjacency(edges: frozenset[tuple[int, int]], size: int) -> tuple[tuple[int, ...], ...]:
+    neighbors = [[] for _ in range(size)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return tuple(tuple(sorted(vs)) for vs in neighbors)
 
 
 def clobber_simultaneous(p: ClobberPosition, left_move, right_move) -> ClobberPosition:
     """Resolve a simultaneous pair of clobber moves."""
     lu, lv = left_move
     ru, rv = right_move
-    if (lu, lv) not in p._piece_moves("X", "O"):
+    if not p._can_clobber(left_move, "X", "O"):
         raise IllegalMove(f"Left cannot clobber {lu}->{lv}")
-    if (ru, rv) not in p._piece_moves("O", "X"):
+    if not p._can_clobber(right_move, "O", "X"):
         raise IllegalMove(f"Right cannot clobber {ru}->{rv}")
     occ = list(p.occupancy)
     acc = p.acc

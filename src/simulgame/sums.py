@@ -53,9 +53,12 @@ class SumPosition(Position):
     """A sum of at least two component positions, flattened and canonically
     ordered so that commutative rearrangements are the same position.
 
-    The key is built eagerly, since it orders the components.  The move
-    matrix is composed from the components' own matrices, each built at
-    most once per sum matrix, and its rows and columns follow option order.
+    The key is built eagerly, since it orders the components.  Equality
+    compares the kind and the components themselves, not the key, so it
+    never merges sums whose components only share an isomorphism class.
+    The move matrix is composed from the components' own matrices, each
+    built at most once per sum matrix, and its rows and columns follow
+    option order.
     """
 
     ruleset_tag = "sum"
@@ -76,10 +79,14 @@ class SumPosition(Position):
         self._key = f"{kind}({';'.join(c.canonical_key() for c in self.components)})"
 
     def __eq__(self, other):
-        return isinstance(other, SumPosition) and self._key == other._key
+        return (
+            isinstance(other, SumPosition)
+            and self.kind == other.kind
+            and self.components == other.components
+        )
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.kind, self.components))
 
     def __repr__(self):
         return f"SumPosition({self.kind!r}, {list(self.components)!r})"

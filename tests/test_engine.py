@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from simulgame.analysis import clobber_kn_expected
 from simulgame.engine import (
+    ARR,
+    ELL,
     NORMAL,
     SCORING,
     Memo,
@@ -18,7 +21,13 @@ from simulgame.engine import (
 )
 from simulgame.errors import LoopyGame, UnknownRuleset
 from simulgame.position import Position, score
-from simulgame.rulesets import clobber_strip, hb_stalk, sq
+from simulgame.rulesets import (
+    ClobberPosition,
+    clobber_complete,
+    clobber_strip,
+    hb_stalk,
+    sq,
+)
 from simulgame.sums import disjunctive
 
 F = Fraction
@@ -199,3 +208,63 @@ def test_memo_insertion_idempotent():
     memo.put(("k", NORMAL, None), 1)
     with pytest.raises(AssertionError):
         memo.put(("k", NORMAL, None), 2)
+
+
+def _random_board(rng):
+    n = rng.randint(2, 5)
+    edges = frozenset((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5)
+    occupancy = tuple(rng.choice("XXOO_") for _ in range(n))
+    return ClobberPosition(edges, occupancy, rng.randint(0, 2))
+
+
+def _relabelled(board, rng):
+    perm = list(range(len(board.occupancy)))
+    rng.shuffle(perm)
+    occupancy = [None] * len(perm)
+    for u, ch in enumerate(board.occupancy):
+        occupancy[perm[u]] = ch
+    edges = frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in board.edges)
+    return ClobberPosition(edges, tuple(occupancy), board.acc)
+
+
+def test_clobber_keys_are_sound():
+    """Boards sharing a key share every value; the memo is off, so no key decides one."""
+    rng = random.Random(11)
+    boards = []
+    for _ in range(150):
+        board = _random_board(rng)
+        boards += [board, _relabelled(board, rng)]
+    groups = {}
+    for board in boards:
+        values = tuple(
+            evaluate(board, convention, transform=transform, memo=Memo(limit=0)).ex
+            for convention in (NORMAL, SCORING)
+            for transform in (None, ELL, ARR)
+        )
+        groups.setdefault(canonical_key(board), set()).add(values)
+    assert all(len(values) == 1 for values in groups.values())
+    assert len(groups) < len(boards) // 2
+
+
+def test_isomorphic_clobber_boards_share_memo_entries():
+    memo = Memo()
+    assert evaluate(clobber_complete(8), SCORING, memo=memo).ex == 3
+    assert len(memo) == 14
+    assert evaluate(clobber_complete(12), SCORING, memo=Memo()).ex == clobber_kn_expected(12)
+    for cells in ("OXOO", "OXXOX", "__OXO_X"):
+        assert canonical_key(clobber_strip(cells)) == canonical_key(clobber_strip(cells[::-1]))
+    assert canonical_key(clobber_strip("OXO__")) == canonical_key(clobber_strip("__OXO"))
+
+
+def test_root_mixes_follow_the_root_under_a_shared_memo():
+    shared = Memo()
+    for cells in ("OXOO", "OOXO", "OXOO"):
+        board = clobber_strip(cells)
+        for convention in (NORMAL, SCORING):
+            assert evaluate(board, convention, memo=shared) == evaluate(
+                board, convention, memo=Memo()
+            )
+    # The two boards share a key but not their mixes.
+    assert evaluate(clobber_strip("OXOO"), SCORING, memo=Memo()).left_mix != evaluate(
+        clobber_strip("OOXO"), SCORING, memo=Memo()
+    ).left_mix

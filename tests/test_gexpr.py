@@ -175,6 +175,12 @@ def test_render_position_roundtrips_literals():
         assert render_position(p) == text
 
 
+def test_render_position_clobber_board_keeps_its_labels():
+    board = dict(parse_position("cl[OXOO]").left_options())["1>2"]
+    assert render_position(board) == "cl(0-1,1-2,2-3|O_XO|1)"
+    assert render_position(board) != board.canonical_key()
+
+
 def test_render_position_sum():
     p = parse_position("cl[OXO] + hb[R]")
     text = render_position(p)

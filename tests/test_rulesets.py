@@ -167,6 +167,11 @@ def test_complete_graph_nonmutual_keeps_complete_shape():
 def test_clobber_illegal_move():
     with pytest.raises(IllegalMove):
         clobber_simultaneous(clobber_strip("OXO"), (1, 0), (0, 2))
+    board = clobber_strip("OXXO")
+    # Right's 0>1 is legal; each Left move is not.
+    for left_move in ((1, 3), (1, 2), (0, 1), (1, 7)):
+        with pytest.raises(IllegalMove, match="Left"):
+            clobber_simultaneous(board, left_move, (0, 1))
 
 
 def test_clobber_piece_count_strictly_decreases():
