@@ -22,12 +22,8 @@ from .engine import (
     GuaranteeProfile,
     Memo,
     ValueReport,
-    canonical_key,
-    clear_memo,
     evaluate,
     guarantee_profile,
-    is_terminal,
-    move_matrix,
     outcome,
 )
 from .gexpr import parse, parse_position, render, render_position, to_position

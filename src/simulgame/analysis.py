@@ -14,7 +14,7 @@ from fractions import Fraction
 from .engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile
 from .errors import BadParameters, BadStalk
 from .matgame import eliminate_dominated
-from .position import ExplicitGame, Position, require_position
+from .position import ExplicitGame, Position
 
 LESS, EQUAL, GREATER, INCOMPARABLE = "Less", "Equal", "Greater", "Incomparable"
 
@@ -29,22 +29,21 @@ def reduce_game(p: Position, convention: str = NORMAL, *, memo: Memo | None = No
     """Recursively eliminate dominated pure strategies, bottom up.
 
     The result is an explicit game with the surviving options; its expected
-    value in isolation equals the original's.
+    value in isolation equals the original's.  Without a memo the whole
+    reduction shares a fresh one.
     """
-    require_position(p)
-    if p.is_terminal():
+    memo = memo if memo is not None else Memo()
+    report = evaluate(p, convention, memo=memo)
+    if report.terminal:
         return p
-    matrix = p.move_matrix()
-    values = [
-        [evaluate(cell, convention, memo=memo).ex for cell in row] for row in matrix.cells
-    ]
-    _, keep_rows, keep_cols = eliminate_dominated(values)
+    _, keep_rows, keep_cols = eliminate_dominated(report.values)
     # Matrix rows and columns follow option order.
+    cells = p.move_matrix().cells
     left_options, right_options = p.left_options(), p.right_options()
     lefts = tuple(reduce_game(left_options[i][1], convention, memo=memo) for i in keep_rows)
     rights = tuple(reduce_game(right_options[j][1], convention, memo=memo) for j in keep_cols)
     table = tuple(
-        tuple(reduce_game(matrix.cells[i][j], convention, memo=memo) for j in keep_cols)
+        tuple(reduce_game(cells[i][j], convention, memo=memo) for j in keep_cols)
         for i in keep_rows
     )
     return ExplicitGame(lefts, rights, table)

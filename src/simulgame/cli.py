@@ -49,6 +49,14 @@ EXIT_EVAL = 3
 MEASURES = ("ex", "index", "outcome", "score", "matrix", "strategies")
 
 
+def non_negative_int(text: str) -> int:
+    """Argument type of ``--decimal``: a count of digits after the point."""
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
+    return k
+
+
 def _fmt_rational(value: Fraction, decimals: int | None) -> str:
     if decimals is None:
         return str(value)
@@ -105,21 +113,17 @@ def cmd_eval(args) -> int:
             payload = {"ell": fmt(prof.ell), "arr": fmt(prof.arr)}
         elif args.measure == "strategies":
             report = evaluate(position, args.convention, memo=memo)
-            matrix = position.move_matrix()
             payload = {
                 "value": fmt(report.ex),
-                "left_mix": {l: fmt(p) for l, p in zip(matrix.row_labels, report.left_mix)},
-                "right_mix": {l: fmt(p) for l, p in zip(matrix.col_labels, report.right_mix)},
+                "left_mix": {l: fmt(p) for l, p in zip(report.row_labels, report.left_mix)},
+                "right_mix": {l: fmt(p) for l, p in zip(report.col_labels, report.right_mix)},
             }
         else:  # matrix
-            matrix = position.move_matrix()
+            report = evaluate(position, args.convention, memo=memo)
             payload = {
-                "rows": list(matrix.row_labels),
-                "cols": list(matrix.col_labels),
-                "ex": [
-                    [fmt(evaluate(cell, args.convention, memo=memo).ex) for cell in row]
-                    for row in matrix.cells
-                ],
+                "rows": list(report.row_labels),
+                "cols": list(report.col_labels),
+                "ex": [[fmt(v) for v in row] for row in report.values],
             }
     except (LoopyGame, SizeLimit) as exc:
         sys.stderr.write(f"evaluation error: {exc}\n")
@@ -163,17 +167,23 @@ def cmd_eval(args) -> int:
 def cmd_table(args) -> int:
     try:
         tree = parse(f"{args.ruleset}(0)")
+        if not isinstance(tree, SqExpr):
+            sys.stderr.write("table supports the subtraction-strip family only, e.g. sq{1}{2}\n")
+            return EXIT_PARSE
+        positions = [
+            to_position(SqExpr(tree.left, tree.right, n, tree.primed))
+            for n in range(args.n_max + 1)
+        ]
     except GameSyntaxError as exc:
         return _syntax_error(args.ruleset, exc)
-    if not isinstance(tree, SqExpr):
-        sys.stderr.write("table supports the subtraction-strip family only, e.g. sq{1}{2}\n")
+    except (BadLiteral, UnknownRuleset, BadParameters) as exc:
+        sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
 
     memo = Memo(_env_limit())
     fmt = lambda fr: _fmt_rational(fr, args.decimal)
     rows = []
-    for n in range(args.n_max + 1):
-        position = to_position(SqExpr(tree.left, tree.right, n, tree.primed))
+    for n, position in enumerate(positions):
         report = evaluate(position, NORMAL, memo=memo)
         prof = guarantee_profile(position, NORMAL, memo=memo)
         rows.append({"n": n, "ex": fmt(report.ex), "ell": fmt(prof.ell), "arr": fmt(prof.arr)})
@@ -252,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--convention", choices=(NORMAL, SCORING), default=NORMAL)
     p_eval.add_argument("--measure", choices=MEASURES, default="ex")
     p_eval.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_eval.add_argument("--decimal", type=int, default=None, metavar="K")
+    p_eval.add_argument("--decimal", type=non_negative_int, default=None, metavar="K")
     p_eval.set_defaults(func=cmd_eval)
 
     p_table = sub.add_parser("table", help="tabulate a subtraction-strip family")
     p_table.add_argument("ruleset", help="family literal without a length, e.g. sq{1}{2}")
     p_table.add_argument("--n-max", type=int, default=10)
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_table.add_argument("--decimal", type=int, default=None, metavar="K")
+    p_table.add_argument("--decimal", type=non_negative_int, default=None, metavar="K")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the verification manifest")

@@ -1,11 +1,15 @@
 """Recursive exact evaluation of positions.
 
+Evaluation reads three things from a position: its canonical key, its move
+matrix, and its terminal payoff; an empty matrix marks a terminal position.
 ``evaluate`` computes the expected value of a position under either winning
 convention by backward induction: terminal payoffs at the leaves, the exact
 matrix-game value everywhere else.  The memo holds values only, keyed by
 canonical key: a key may stand for several isomorphic boards whose options
 come in different orders, so mixes are never stored.  ``evaluate`` always
-solves the root's own matrix and takes only its cells' values from the memo.
+solves the root's own matrix, takes only its cells' values from the memo,
+and hands back the root's labelled value matrix with the value and mixes.
+A call without a memo uses a fresh one of its own.
 ``guarantee_profile`` evaluates the two security transforms of the same game
 (win payoffs only) to get each player's guaranteed winning probability.
 """
@@ -22,7 +26,6 @@ from .position import (
     OUTCOME_DRAW,
     OUTCOME_LEFT,
     OUTCOME_RIGHT,
-    MoveMatrix,
     Position,
     require_position,
 )
@@ -39,12 +42,23 @@ MEMO_LIMIT_ENV = "SIMULGAME_MEMO_LIMIT"
 
 @dataclass(frozen=True)
 class ValueReport:
-    """Expected value plus the optimal mixes at the root matrix."""
+    """Expected value of the root, its optimal mixes, and its value matrix.
+
+    ``values[i][j]`` is the value of the cell reached by Left's move
+    ``row_labels[i]`` and Right's move ``col_labels[j]``; the mixes follow
+    the same order.  All five sequences are empty at a terminal root.
+    """
 
     ex: Fraction
     left_mix: tuple[Fraction, ...]
     right_mix: tuple[Fraction, ...]
-    terminal: bool
+    row_labels: tuple[str, ...] = ()
+    col_labels: tuple[str, ...] = ()
+    values: tuple[tuple[Fraction, ...], ...] = ()
+
+    @property
+    def terminal(self) -> bool:
+        return not self.row_labels
 
 
 @dataclass(frozen=True)
@@ -99,39 +113,14 @@ class Memo:
     def __len__(self):
         return len(self._table)
 
-    def clear(self):
-        self._table.clear()
-
 
 def _env_limit() -> int | None:
     raw = os.environ.get(MEMO_LIMIT_ENV, "").strip()
     return int(raw) if raw else None
 
 
-_default_memo = Memo(_env_limit())
-
-
-def clear_memo() -> None:
-    _default_memo.clear()
-
-
-def canonical_key(p: Position) -> str:
-    """Deterministic key; equal positions (up to commutative reordering of
-    sum components) have equal keys."""
-    return require_position(p).canonical_key()
-
-
-def move_matrix(p: Position) -> MoveMatrix:
-    return require_position(p).move_matrix()
-
-
-def is_terminal(p: Position) -> bool:
-    return require_position(p).is_terminal()
-
-
 def terminal_outcome(p: Position, convention: str = NORMAL) -> str:
     """Outcome letter of a terminal position under the given convention."""
-    require_position(p)
     if convention == NORMAL:
         return p.normal_outcome()
     s = p.terminal_score()
@@ -160,27 +149,32 @@ def evaluate(
     transform=None,
     memo: Memo | None = None,
 ) -> ValueReport:
-    """Expected value of p with optimal mixes attached.
+    """Expected value of p with its optimal mixes and value matrix attached.
 
-    The root's matrix is always built and solved here, so its mixes follow
-    p's own option order; the memo only supplies the values of its cells.
-    Raises LoopyGame if a position repeats along a descent path.
+    The root's matrix is always built and solved here, so its mixes and
+    values follow p's own option order; the memo only supplies the values
+    of its cells.  Without a memo the call uses a fresh one.  Raises
+    LoopyGame if a position repeats along a descent path.
     """
     require_position(p)
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    table = memo if memo is not None else _default_memo
+    table = memo if memo is not None else Memo()
     key = (p.canonical_key(), convention, transform)
-    if p.is_terminal():
-        report = ValueReport(_terminal_payoff(p, convention, transform), (), (), True)
+    matrix = p.move_matrix()
+    if matrix.is_empty:
+        report = ValueReport(_terminal_payoff(p, convention, transform), (), ())
     else:
         path = {key}
         values = [
             [_value(cell, convention, transform, table, path) for cell in row]
-            for row in p.move_matrix().cells
+            for row in matrix.cells
         ]
         sol = game_value(values)
-        report = ValueReport(sol.value, sol.row_mix, sol.col_mix, False)
+        report = ValueReport(
+            sol.value, sol.row_mix, sol.col_mix,
+            matrix.row_labels, matrix.col_labels, tuple(map(tuple, values)),
+        )
     table.put(key, report.ex)
     return report
 
@@ -194,13 +188,14 @@ def _value(p, convention, transform, memo, path) -> Fraction:
         return hit
     if key in path:
         raise LoopyGame(f"position repeats along a play line: {key[0]}")
-    if p.is_terminal():
+    matrix = p.move_matrix()
+    if matrix.is_empty:
         value = _terminal_payoff(p, convention, transform)
     else:
         path.add(key)
         values = [
             [_value(cell, convention, transform, memo, path) for cell in row]
-            for row in p.move_matrix().cells
+            for row in matrix.cells
         ]
         path.discard(key)
         value = game_value(values).value
@@ -225,6 +220,8 @@ def outcome(p: Position, convention: str = NORMAL, *, memo: Memo | None = None) 
     can, and '?' when both retain winning chances.
     """
     require_position(p)
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
     if p.is_terminal():
         return terminal_outcome(p, convention)
     prof = guarantee_profile(p, convention, memo=memo)

@@ -179,34 +179,30 @@ def build_checks(memo: Memo) -> list[Check]:
     # The {1,4} strip: value and its published option-value matrix.
     value_check("sq14-ex4", "sq'{1,4}{2}(4)", F(0))
 
-    def fig8_matrix():
-        pos = parse_position("sq'{1,4}{2}(4)")
-        mm = pos.move_matrix()
-        rows = [
-            [str(evaluate(cell, NORMAL, memo=memo).ex) for cell in row]
-            for row in mm.cells
-        ]
-        return _fmt(rows)
+    def cell_values(text, convention=NORMAL):
+        report = evaluate(parse_position(text), convention, memo=memo)
+        return _fmt([[str(v) for v in row] for row in report.values])
 
-    add("sq14-option-values", [["-1", "1"], ["1", "-1"], ["0", "0"], ["0", "0"]], fig8_matrix)
+    add(
+        "sq14-option-values",
+        [["-1", "1"], ["1", "-1"], ["0", "0"], ["0", "0"]],
+        lambda: cell_values("sq'{1,4}{2}(4)"),
+    )
 
     def response_demo(amounts):
         comp = continued_conjunctive(
             sq({1, 4}, {2}, 4, primed=True), sq({1, 4}, {2}, 3, primed=True)
         )
-        mm = comp.move_matrix()
-        values = [
-            [evaluate(cell, NORMAL, memo=memo).ex for cell in row] for row in mm.cells
-        ]
+        report = evaluate(comp, NORMAL, memo=memo)
         idx4 = next(i for i, c in enumerate(comp.components) if c.n == 4)
         idx3 = 1 - idx4
         mix = []
-        for label in mm.row_labels:
+        for label in report.row_labels:
             parts = dict(part.split(":", 1) for part in label.split("|"))
             in4 = parts[str(idx4)] in amounts
             equalizer = parts[str(idx3)] in ("1l", "1r")
             mix.append(F(1, 4) if in4 and equalizer else F(0))
-        return _fmt(matgame.response_value(values, mix))
+        return _fmt(matgame.response_value(report.values, mix))
 
     add("sq14-response-take4", F(0), lambda: response_demo(("4l", "4r")))
     add("sq14-response-take1", F(1, 4), lambda: response_demo(("1l", "1r")))
@@ -248,28 +244,16 @@ def build_checks(memo: Memo) -> list[Check]:
     # Hackenbush.
     add("hb-two-blue-va", 2, lambda: _fmt(v_a(parse_position("hb[BB]"))))
 
-    def fig_matrix(expr, measure):
-        pos = parse_position(expr)
-        mm = pos.move_matrix()
-        out = []
-        for row in mm.cells:
-            line = []
-            for cell in row:
-                if measure == "outcome":
-                    line.append(outcome(cell, NORMAL, memo=memo))
-                elif measure == "ex":
-                    line.append(str(evaluate(cell, NORMAL, memo=memo).ex))
-                else:
-                    line.append(str(evaluate(cell, SCORING, memo=memo).ex))
-            out.append(line)
-        return _fmt(out)
+    def cell_outcomes(text):
+        cells = parse_position(text).move_matrix().cells
+        return _fmt([[outcome(cell, NORMAL, memo=memo) for cell in row] for row in cells])
 
-    add("fig5G-outcomes", [["D", "L"], ["L", "D"]], lambda: fig_matrix("hb:fig5G", "outcome"))
-    add("fig5G-ex", [["0", "1"], ["1", "0"]], lambda: fig_matrix("hb:fig5G", "ex"))
-    add("fig5G-scores", [["0", "1"], ["1", "0"]], lambda: fig_matrix("hb:fig5G", "score"))
-    add("fig5H-outcomes", [["L"], ["L"], ["L"]], lambda: fig_matrix("hb:fig5H", "outcome"))
-    add("fig5H-ex", [["1"], ["1"], ["1"]], lambda: fig_matrix("hb:fig5H", "ex"))
-    add("fig5H-scores", [["2"], ["1"], ["2"]], lambda: fig_matrix("hb:fig5H", "score"))
+    add("fig5G-outcomes", [["D", "L"], ["L", "D"]], lambda: cell_outcomes("hb:fig5G"))
+    add("fig5G-ex", [["0", "1"], ["1", "0"]], lambda: cell_values("hb:fig5G"))
+    add("fig5G-scores", [["0", "1"], ["1", "0"]], lambda: cell_values("hb:fig5G", SCORING))
+    add("fig5H-outcomes", [["L"], ["L"], ["L"]], lambda: cell_outcomes("hb:fig5H"))
+    add("fig5H-ex", [["1"], ["1"], ["1"]], lambda: cell_values("hb:fig5H"))
+    add("fig5H-scores", [["2"], ["1"], ["2"]], lambda: cell_values("hb:fig5H", SCORING))
 
     def stalk_theorem():
         bad = []

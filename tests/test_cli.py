@@ -1,9 +1,15 @@
 """CLI behaviour: measures, formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from simulgame import cli
 from simulgame.errors import LoopyGame
+from simulgame.verify import ACCEPTANCE_POSITIONS
+
+SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "cli-schema.json"
 
 
 def run(capsys, *argv):
@@ -125,6 +131,19 @@ def test_table_limit_row(capsys):
 def test_table_rejects_other_families(capsys):
     code, _, err = run(capsys, "table", "hb[BR]")
     assert code == 2
+    # Strip families that parse but do not lower to a position.
+    for family in ("sq{0}{2}", "sq{1}{1,0}"):
+        code, out, err = run(capsys, "table", family)
+        assert code == 2 and out == "" and err.startswith("parse error: ")
+
+
+def test_negative_decimal_rejected(capsys):
+    for argv in (("eval", "sq{1}{2}(3)"), ("table", "sq{1}{2}")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--decimal", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--decimal" in captured.err
 
 
 def test_verify_paper_json(capsys):
@@ -189,3 +208,26 @@ def test_memo_limit_env(capsys, monkeypatch):
     monkeypatch.setenv("SIMULGAME_MEMO_LIMIT", "2")
     code, out, _ = run(capsys, "eval", "sq{1}{2}(8)")
     assert code == 0 and out.strip() == "3/8"
+
+
+def test_json_output_matches_schema(capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(json.loads(SCHEMA.read_text()))
+    commands = [
+        ("eval", text, "--convention", convention, "--measure", measure, "--format", "json", *decimal)
+        for text, conventions in ACCEPTANCE_POSITIONS
+        for convention in conventions
+        for measure in cli.MEASURES
+        for decimal in ((), ("--decimal", "3"))
+    ]
+    commands += [
+        ("table", "sq{1}{2}", "--format", "json"),
+        ("verify", "paper", "--format", "json"),
+    ]
+    errors = []
+    for argv in commands:
+        _, out, _ = run(capsys, *argv)
+        lines = out.splitlines()
+        assert len(lines) == 1, argv
+        errors += [(argv, e.message) for e in validator.iter_errors(json.loads(lines[0]))]
+    assert errors == []

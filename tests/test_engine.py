@@ -12,14 +12,12 @@ from simulgame.engine import (
     NORMAL,
     SCORING,
     Memo,
-    canonical_key,
     evaluate,
     guarantee_profile,
-    is_terminal,
-    move_matrix,
     outcome,
 )
 from simulgame.errors import LoopyGame, UnknownRuleset
+from simulgame.matgame import game_value
 from simulgame.position import Position, score
 from simulgame.rulesets import (
     ClobberPosition,
@@ -28,7 +26,7 @@ from simulgame.rulesets import (
     hb_stalk,
     sq,
 )
-from simulgame.sums import disjunctive
+from simulgame.sums import conjunctive, continued_conjunctive, disjunctive
 
 F = Fraction
 
@@ -43,6 +41,38 @@ def test_terminal_reports():
     report = evaluate(sq({1}, {2}, 1), NORMAL)
     assert report.terminal and report.ex == 1
     assert report.left_mix == () and report.right_mix == ()
+    assert report.row_labels == () and report.col_labels == () and report.values == ()
+
+
+def test_report_carries_the_root_value_matrix():
+    strip = sq({1}, {2}, 3)
+    sample = [
+        sq({1}, {2}, 5),
+        sq({1}, {2}, 5, primed=True),
+        clobber_strip("OXOXO"),
+        hb_stalk("BRB"),
+        sq({1}, {2}, 1),
+        disjunctive(strip, hb_stalk("BR")),
+        conjunctive(strip, sq({1}, {2}, 4, primed=True)),
+        continued_conjunctive(strip, clobber_strip("XOO")),
+    ]
+    for position in sample:
+        matrix = position.move_matrix()
+        for convention in (NORMAL, SCORING):
+            for transform in (None, ELL, ARR):
+                report = evaluate(position, convention, transform=transform, memo=Memo())
+                assert report.row_labels == matrix.row_labels
+                assert report.col_labels == matrix.col_labels
+                assert report.values == tuple(
+                    tuple(
+                        evaluate(cell, convention, transform=transform, memo=Memo()).ex
+                        for cell in row
+                    )
+                    for row in matrix.cells
+                )
+                assert report.terminal == matrix.is_empty
+                if not report.terminal:
+                    assert game_value(report.values).value == report.ex
 
 
 def test_mixes_certify_value():
@@ -127,24 +157,19 @@ def test_loop_detection():
 
 def test_foreign_objects_rejected():
     with pytest.raises(UnknownRuleset):
-        move_matrix("not a position")
+        evaluate("not a position")
     with pytest.raises(UnknownRuleset):
-        canonical_key(42)
-
-
-def test_is_terminal_wrapper():
-    assert is_terminal(sq({1}, {2}, 0))
-    assert not is_terminal(sq({1}, {2}, 2))
+        outcome(42)
 
 
 def test_canonical_key_commutes_for_sums():
     a, b = sq({1}, {2}, 3), sq({1}, {2}, 2)
-    assert canonical_key(disjunctive(a, b)) == canonical_key(disjunctive(b, a))
+    assert disjunctive(a, b).canonical_key() == disjunctive(b, a).canonical_key()
 
 
 def test_canonical_key_separates_rulesets_and_states():
-    assert canonical_key(sq({1}, {2}, 3)) != canonical_key(sq({2}, {1}, 3))
-    assert canonical_key(hb_stalk("BR")) != canonical_key(hb_stalk("RB"))
+    assert sq({1}, {2}, 3).canonical_key() != sq({2}, {1}, 3).canonical_key()
+    assert hb_stalk("BR").canonical_key() != hb_stalk("RB").canonical_key()
 
 
 def test_role_swap_negates_values():
@@ -200,6 +225,9 @@ def test_outcome_classification():
     assert outcome(hb_stalk("BR"), NORMAL, memo=memo) == "D"
     assert outcome(hb_stalk("BR").swap_roles(), NORMAL, memo=memo) == "D"
     assert outcome(sq({1}, {2}, 4, primed=True), NORMAL, memo=memo) == "?"
+    for position in (sq({1}, {2}, 1), sq({1}, {2}, 3)):  # terminal, then not
+        with pytest.raises(ValueError):
+            outcome(position, "bogus")
 
 
 def test_memo_insertion_idempotent():
@@ -241,7 +269,7 @@ def test_clobber_keys_are_sound():
             for convention in (NORMAL, SCORING)
             for transform in (None, ELL, ARR)
         )
-        groups.setdefault(canonical_key(board), set()).add(values)
+        groups.setdefault(board.canonical_key(), set()).add(values)
     assert all(len(values) == 1 for values in groups.values())
     assert len(groups) < len(boards) // 2
 
@@ -252,8 +280,8 @@ def test_isomorphic_clobber_boards_share_memo_entries():
     assert len(memo) == 14
     assert evaluate(clobber_complete(12), SCORING, memo=Memo()).ex == clobber_kn_expected(12)
     for cells in ("OXOO", "OXXOX", "__OXO_X"):
-        assert canonical_key(clobber_strip(cells)) == canonical_key(clobber_strip(cells[::-1]))
-    assert canonical_key(clobber_strip("OXO__")) == canonical_key(clobber_strip("__OXO"))
+        assert clobber_strip(cells).canonical_key() == clobber_strip(cells[::-1]).canonical_key()
+    assert clobber_strip("OXO__").canonical_key() == clobber_strip("__OXO").canonical_key()
 
 
 def test_root_mixes_follow_the_root_under_a_shared_memo():
