@@ -12,6 +12,7 @@ terms unless ``--decimal`` asks for rounded digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import decimal
 import io
@@ -21,16 +22,7 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .analysis import reduce_game
-from .engine import (
-    MEMO_LIMIT_ENV,
-    NORMAL,
-    SCORING,
-    Memo,
-    _env_limit,
-    evaluate,
-    guarantee_profile,
-    outcome,
-)
+from .engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile, outcome
 from .errors import (
     BadLiteral,
     BadParameters,
@@ -50,7 +42,7 @@ MEASURES = ("ex", "index", "outcome", "score", "matrix", "strategies")
 
 
 def non_negative_int(text: str) -> int:
-    """Argument type of ``--decimal``: a count of digits after the point."""
+    """Argument type of ``--decimal`` and ``--n-max``: a count, K >= 0."""
     k = int(text)
     if k < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
@@ -78,30 +70,46 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+class _Exit(Exception):
+    """Ends a subcommand with the exit code it carries; the message is on stderr."""
+
+
+@contextlib.contextmanager
+def _parse_errors(text: str):
+    """Map a failure to parse or lower ``text`` to a message and exit 2."""
+    try:
+        yield
+    except GameSyntaxError as exc:
+        sys.stderr.write(f"parse error: {exc}\n")
+        offset = min(exc.offset, len(text))
+        sys.stderr.write(f"    {text}\n    {' ' * offset}^\n")
+        raise _Exit(EXIT_PARSE)
+    except (BadLiteral, UnknownRuleset, BadParameters) as exc:
+        sys.stderr.write(f"parse error: {exc}\n")
+        raise _Exit(EXIT_PARSE)
+
+
+@contextlib.contextmanager
+def _evaluation_errors():
+    """Map a failed evaluation to a message and exit 3."""
+    try:
+        yield
+    except (LoopyGame, SizeLimit) as exc:
+        sys.stderr.write(f"evaluation error: {exc}\n")
+        raise _Exit(EXIT_EVAL)
+
+
 def _parse_expr(text: str):
-    tree = parse(text)
-    return tree, to_position(tree)
-
-
-def _syntax_error(text: str, exc: GameSyntaxError) -> int:
-    sys.stderr.write(f"parse error: {exc}\n")
-    offset = min(exc.offset, len(text))
-    sys.stderr.write(f"    {text}\n    {' ' * offset}^\n")
-    return EXIT_PARSE
+    with _parse_errors(text):
+        tree = parse(text)
+        return tree, to_position(tree)
 
 
 def cmd_eval(args) -> int:
-    try:
-        _, position = _parse_expr(args.expr)
-    except GameSyntaxError as exc:
-        return _syntax_error(args.expr, exc)
-    except (BadLiteral, UnknownRuleset, BadParameters) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-
-    memo = Memo(_env_limit())
+    _, position = _parse_expr(args.expr)
+    memo = Memo()
     fmt = lambda fr: _fmt_rational(fr, args.decimal)
-    try:
+    with _evaluation_errors():
         if args.measure == "ex":
             payload = {"value": fmt(evaluate(position, args.convention, memo=memo).ex)}
         elif args.measure == "score":
@@ -125,9 +133,6 @@ def cmd_eval(args) -> int:
                 "cols": list(report.col_labels),
                 "ex": [[fmt(v) for v in row] for row in report.values],
             }
-    except (LoopyGame, SizeLimit) as exc:
-        sys.stderr.write(f"evaluation error: {exc}\n")
-        return EXIT_EVAL
 
     header = {"expr": args.expr, "convention": args.convention, "measure": args.measure}
     if args.format == "json":
@@ -165,7 +170,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
+    with _parse_errors(args.ruleset):
         tree = parse(f"{args.ruleset}(0)")
         if not isinstance(tree, SqExpr):
             sys.stderr.write("table supports the subtraction-strip family only, e.g. sq{1}{2}\n")
@@ -174,13 +179,8 @@ def cmd_table(args) -> int:
             to_position(SqExpr(tree.left, tree.right, n, tree.primed))
             for n in range(args.n_max + 1)
         ]
-    except GameSyntaxError as exc:
-        return _syntax_error(args.ruleset, exc)
-    except (BadLiteral, UnknownRuleset, BadParameters) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
 
-    memo = Memo(_env_limit())
+    memo = Memo()
     fmt = lambda fr: _fmt_rational(fr, args.decimal)
     rows = []
     for n, position in enumerate(positions):
@@ -221,13 +221,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        tree, position = _parse_expr(args.expr)
-    except GameSyntaxError as exc:
-        return _syntax_error(args.expr, exc)
-    except (BadLiteral, UnknownRuleset, BadParameters) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
+    tree, position = _parse_expr(args.expr)
     if isinstance(tree, SumExpr):
         sys.stderr.write(
             "refusing to reduce a sum: reduction is value-preserving in isolation "
@@ -235,13 +229,10 @@ def cmd_reduce(args) -> int:
         )
         return EXIT_PARSE
 
-    memo = Memo(_env_limit())
-    try:
+    memo = Memo()
+    with _evaluation_errors():
         reduced = reduce_game(position, args.convention, memo=memo)
         value = evaluate(reduced, args.convention, memo=memo).ex
-    except (LoopyGame, SizeLimit) as exc:
-        sys.stderr.write(f"evaluation error: {exc}\n")
-        return EXIT_EVAL
     _emit(render_position(reduced))
     _emit(f"ex {value}")
     _emit("note: reduced games are interchangeable in isolation only; summing reduced")
@@ -253,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simulgame",
         description="Evaluate simultaneous combinatorial games exactly.",
-        epilog=f"The {MEMO_LIMIT_ENV} environment variable caps the memo table size.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -267,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="tabulate a subtraction-strip family")
     p_table.add_argument("ruleset", help="family literal without a length, e.g. sq{1}{2}")
-    p_table.add_argument("--n-max", type=int, default=10)
+    p_table.add_argument("--n-max", type=non_negative_int, default=10)
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_table.add_argument("--decimal", type=non_negative_int, default=None, metavar="K")
     p_table.set_defaults(func=cmd_table)
@@ -287,7 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        (code,) = exc.args
+        return code
 
 
 if __name__ == "__main__":

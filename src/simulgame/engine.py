@@ -2,21 +2,21 @@
 
 Evaluation reads three things from a position: its canonical key, its move
 matrix, and its terminal payoff; an empty matrix marks a terminal position.
-``evaluate`` computes the expected value of a position under either winning
-convention by backward induction: terminal payoffs at the leaves, the exact
-matrix-game value everywhere else.  The memo holds values only, keyed by
-canonical key: a key may stand for several isomorphic boards whose options
-come in different orders, so mixes are never stored.  ``evaluate`` always
-solves the root's own matrix, takes only its cells' values from the memo,
-and hands back the root's labelled value matrix with the value and mixes.
-A call without a memo uses a fresh one of its own.
-``guarantee_profile`` evaluates the two security transforms of the same game
-(win payoffs only) to get each player's guaranteed winning probability.
+One memoised walk serves every query.  It carries a tuple of payoff
+transforms: each node builds its key and matrix once, reads its terminal
+payoff once at a leaf, and solves its matrix once per transform.  The memo
+holds values only, keyed by (canonical key, convention, transform): a key may
+stand for several isomorphic boards whose options come in different orders,
+so mixes are never stored.  ``evaluate`` always solves the root's own matrix,
+takes only its cells' values from the walk, and hands back the root's
+labelled value matrix with the value and mixes.  ``guarantee_profile`` is one
+walk over the two security transforms (win payoffs only) and gives each
+player's guaranteed winning probability; ``outcome`` is read from that
+profile.  A call without a memo uses a fresh one of its own.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,8 +36,6 @@ CONVENTIONS = (NORMAL, SCORING)
 
 ELL = "ell"  # Right-win terminals pay 0, Left wins pay 1
 ARR = "arr"  # Left-win terminals pay 0, Right wins pay -1
-
-MEMO_LIMIT_ENV = "SIMULGAME_MEMO_LIMIT"
 
 
 @dataclass(frozen=True)
@@ -114,32 +112,27 @@ class Memo:
         return len(self._table)
 
 
-def _env_limit() -> int | None:
-    raw = os.environ.get(MEMO_LIMIT_ENV, "").strip()
-    return int(raw) if raw else None
+def _check(p: Position, convention: str) -> None:
+    require_position(p)
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
 
 
-def terminal_outcome(p: Position, convention: str = NORMAL) -> str:
-    """Outcome letter of a terminal position under the given convention."""
+def _terminal_payoff(p: Position, convention: str, transforms) -> tuple[Fraction, ...]:
+    """Payoffs of a terminal position, one per transform.
+
+    The leaf value v is read once: +1/0/-1 for a Left win, draw or Right win
+    under normal play, the terminal score under scoring.  The ex transform
+    (None) pays v, ELL pays [v > 0] and ARR pays -[v < 0].
+    """
     if convention == NORMAL:
-        return p.normal_outcome()
-    s = p.terminal_score()
-    if s > 0:
-        return OUTCOME_LEFT
-    if s < 0:
-        return OUTCOME_RIGHT
-    return OUTCOME_DRAW
-
-
-def _terminal_payoff(p: Position, convention: str, transform) -> Fraction:
-    out = terminal_outcome(p, convention)
-    if transform == ELL:
-        return Fraction(1 if out == OUTCOME_LEFT else 0)
-    if transform == ARR:
-        return Fraction(-1 if out == OUTCOME_RIGHT else 0)
-    if convention == NORMAL:
-        return Fraction({OUTCOME_LEFT: 1, OUTCOME_DRAW: 0, OUTCOME_RIGHT: -1}[out])
-    return Fraction(p.terminal_score())
+        v = Fraction({OUTCOME_LEFT: 1, OUTCOME_DRAW: 0, OUTCOME_RIGHT: -1}[p.normal_outcome()])
+    else:
+        v = Fraction(p.terminal_score())
+    return tuple(
+        Fraction(v > 0) if t == ELL else -Fraction(v < 0) if t == ARR else v
+        for t in transforms
+    )
 
 
 def evaluate(
@@ -156,18 +149,17 @@ def evaluate(
     of its cells.  Without a memo the call uses a fresh one.  Raises
     LoopyGame if a position repeats along a descent path.
     """
-    require_position(p)
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
+    _check(p, convention)
     table = memo if memo is not None else Memo()
-    key = (p.canonical_key(), convention, transform)
+    key = p.canonical_key()
+    transforms = (transform,)
     matrix = p.move_matrix()
     if matrix.is_empty:
-        report = ValueReport(_terminal_payoff(p, convention, transform), (), ())
+        report = ValueReport(_terminal_payoff(p, convention, transforms)[0], (), ())
     else:
         path = {key}
         values = [
-            [_value(cell, convention, transform, table, path) for cell in row]
+            [_value(cell, convention, transforms, table, path)[0] for cell in row]
             for row in matrix.cells
         ]
         sol = game_value(values)
@@ -175,60 +167,70 @@ def evaluate(
             sol.value, sol.row_mix, sol.col_mix,
             matrix.row_labels, matrix.col_labels, tuple(map(tuple, values)),
         )
-    table.put(key, report.ex)
+    table.put((key, convention, transform), report.ex)
     return report
 
 
-def _value(p, convention, transform, memo, path) -> Fraction:
-    """Value of p, read from or stored in the memo; the recursion keeps no
-    mixes, and builds each matrix inline to keep the stack shallow."""
-    key = (p.canonical_key(), convention, transform)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+def _value(p, convention, transforms, memo, path) -> tuple[Fraction, ...]:
+    """Values of p under each transform, read from or stored in the memo.
+
+    Only a hit on every transform skips the node; a partial hit computes it
+    again in full, and ``Memo.put`` checks the values it already held.  The
+    recursion keeps no mixes, and builds each matrix inline to keep the
+    stack shallow.
+    """
+    key = p.canonical_key()
+    hits = []
+    for t in transforms:
+        hit = memo.get((key, convention, t))
+        if hit is None:
+            break
+        hits.append(hit)
+    else:
+        return tuple(hits)
     if key in path:
-        raise LoopyGame(f"position repeats along a play line: {key[0]}")
+        raise LoopyGame(f"position repeats along a play line: {key}")
     matrix = p.move_matrix()
     if matrix.is_empty:
-        value = _terminal_payoff(p, convention, transform)
+        values = _terminal_payoff(p, convention, transforms)
     else:
         path.add(key)
-        values = [
-            [_value(cell, convention, transform, memo, path) for cell in row]
+        cells = [
+            [_value(cell, convention, transforms, memo, path) for cell in row]
             for row in matrix.cells
         ]
         path.discard(key)
-        value = game_value(values).value
-    memo.put(key, value)
-    return value
+        values = tuple(
+            game_value([[cell[i] for cell in row] for row in cells]).value
+            for i in range(len(transforms))
+        )
+    for t, value in zip(transforms, values):
+        memo.put((key, convention, t), value)
+    return values
 
 
 def guarantee_profile(
     p: Position, convention: str = NORMAL, *, memo: Memo | None = None
 ) -> GuaranteeProfile:
-    """Security probabilities [ell, arr] via the two payoff transforms."""
-    ell = evaluate(p, convention, transform=ELL, memo=memo).ex
-    arr = -evaluate(p, convention, transform=ARR, memo=memo).ex
-    return GuaranteeProfile(ell, arr)
+    """Security probabilities [ell, arr] from one walk over both transforms.
+
+    The root's value comes from the memo when it is there; no mixes are
+    solved for.  Without a memo the call uses a fresh one.
+    """
+    _check(p, convention)
+    table = memo if memo is not None else Memo()
+    ell, arr = _value(p, convention, (ELL, ARR), table, set())
+    return GuaranteeProfile(ell, -arr)
 
 
 def outcome(p: Position, convention: str = NORMAL, *, memo: Memo | None = None) -> str:
-    """Outcome classification of a whole game.
+    """Outcome classification of a whole game, read from its profile.
 
-    Terminal positions report their terminal outcome.  Elsewhere the profile
-    decides: D when neither player can ever win, L/R when only one of them
-    can, and '?' when both retain winning chances.
+    D when neither player can ever win, L/R when only one of them can, and
+    '?' when both retain winning chances.  At a terminal position the
+    profile is (1, 0), (0, 0) or (0, 1), so this is its terminal outcome.
     """
-    require_position(p)
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    if p.is_terminal():
-        return terminal_outcome(p, convention)
     prof = guarantee_profile(p, convention, memo=memo)
-    if prof.ell == 0 and prof.arr == 0:
-        return OUTCOME_DRAW
     if prof.arr == 0:
-        return OUTCOME_LEFT
-    if prof.ell == 0:
-        return OUTCOME_RIGHT
-    return "?"
+        return OUTCOME_DRAW if prof.ell == 0 else OUTCOME_LEFT
+    return OUTCOME_RIGHT if prof.ell == 0 else "?"

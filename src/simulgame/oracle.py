@@ -38,7 +38,7 @@ def _brute(p, convention, transform, seen, path, max_positions) -> Fraction:
     if len(seen) >= max_positions:
         raise SizeLimit(f"more than {max_positions} distinct positions")
     if p.is_terminal():
-        value = _terminal_payoff(p, convention, transform)
+        (value,) = _terminal_payoff(p, convention, (transform,))
     else:
         matrix = p.move_matrix()
         if len(matrix.row_labels) > MAX_SIDE or len(matrix.col_labels) > MAX_SIDE:

@@ -138,12 +138,16 @@ def test_table_rejects_other_families(capsys):
 
 
 def test_negative_decimal_rejected(capsys):
-    for argv in (("eval", "sq{1}{2}(3)"), ("table", "sq{1}{2}")):
+    for argv in (
+        ("eval", "sq{1}{2}(3)", "--decimal", "-1"),
+        ("table", "sq{1}{2}", "--decimal", "-1"),
+        ("table", "sq{1}{2}", "--n-max", "-3"),
+    ):
         with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, "--decimal", "-1"])
+            cli.main(list(argv))
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "--decimal" in captured.err
+        assert captured.out == "" and argv[-2] in captured.err
 
 
 def test_verify_paper_json(capsys):
@@ -202,12 +206,6 @@ def test_reduce_stalk_keeps_top_row(capsys):
 def test_reduce_refuses_sums(capsys):
     code, _, err = run(capsys, "reduce", "s(1) + s(2)")
     assert code == 2 and "refusing to reduce a sum" in err
-
-
-def test_memo_limit_env(capsys, monkeypatch):
-    monkeypatch.setenv("SIMULGAME_MEMO_LIMIT", "2")
-    code, out, _ = run(capsys, "eval", "sq{1}{2}(8)")
-    assert code == 0 and out.strip() == "3/8"
 
 
 def test_json_output_matches_schema(capsys):

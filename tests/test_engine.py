@@ -12,11 +12,13 @@ from simulgame.engine import (
     NORMAL,
     SCORING,
     Memo,
+    _terminal_payoff,
     evaluate,
     guarantee_profile,
     outcome,
 )
 from simulgame.errors import LoopyGame, UnknownRuleset
+from simulgame.gexpr import parse_position
 from simulgame.matgame import game_value
 from simulgame.position import Position, score
 from simulgame.rulesets import (
@@ -29,6 +31,26 @@ from simulgame.rulesets import (
 from simulgame.sums import conjunctive, continued_conjunctive, disjunctive
 
 F = Fraction
+
+
+def test_terminal_payoffs():
+    """(ex, ell, arr) of each terminal, under normal play and then scoring."""
+    expected = {
+        "o(L)": ((1, 1, 0), (1, 1, 0)),
+        "o(D)": ((0, 0, 0), (0, 0, 0)),
+        "o(R)": ((-1, 0, -1), (-1, 0, -1)),
+        "s(3)": ((0, 0, 0), (3, 1, 0)),
+        "s(0)": ((0, 0, 0), (0, 0, 0)),
+        "s(-2)": ((0, 0, 0), (-2, 0, -1)),
+    }
+    for text, by_convention in expected.items():
+        position = parse_position(text)
+        for convention, payoffs in zip((NORMAL, SCORING), by_convention):
+            assert _terminal_payoff(position, convention, (None, ELL, ARR)) == payoffs
+            for transform, payoff in zip((None, ELL, ARR), payoffs):
+                assert _terminal_payoff(position, convention, (transform,)) == (payoff,)
+                report = evaluate(position, convention, transform=transform)
+                assert report.terminal and report.ex == payoff
 
 
 def test_strip_values():
@@ -207,6 +229,30 @@ def test_profile_of_drawn_stalk():
     assert prof.left_cannot_win and prof.right_cannot_win
 
 
+def test_profile_builds_each_matrix_once(monkeypatch):
+    built = []
+    original = Position.move_matrix
+
+    def counting(self):
+        built.append(self.canonical_key())
+        return original(self)
+
+    monkeypatch.setattr(Position, "move_matrix", counting)
+    memo = Memo()
+    guarantee_profile(sq({1, 2}, {1, 3}, 8), NORMAL, memo=memo)
+    assert len(built) == len(set(built)) > 8
+    assert len(memo) == 2 * len(built)  # an ell and an arr entry per key
+
+
+def test_partial_memo_hits_are_recomputed():
+    position = sq({1, 2}, {1, 3}, 8)
+    warm = Memo()
+    evaluate(position, NORMAL, transform=ELL, memo=warm)  # ell entries only
+    entries = len(warm)
+    assert guarantee_profile(position, NORMAL, memo=warm) == guarantee_profile(position, NORMAL)
+    assert len(warm) == 2 * entries
+
+
 def test_profile_bounds():
     memo = Memo()
     sample = [sq({1, 4}, {2}, n, primed=True) for n in range(7)]
@@ -225,6 +271,18 @@ def test_outcome_classification():
     assert outcome(hb_stalk("BR"), NORMAL, memo=memo) == "D"
     assert outcome(hb_stalk("BR").swap_roles(), NORMAL, memo=memo) == "D"
     assert outcome(sq({1}, {2}, 4, primed=True), NORMAL, memo=memo) == "?"
+    # A ^ sum is over once one part is; that part decides.
+    won, lost = (conjunctive(end, sq({1}, {2}, 3)) for end in (sq({1}, {2}, 1), sq({2}, {1}, 1)))
+    terminal_roots = [
+        ("o(L)", NORMAL, "L"), ("o(R)", NORMAL, "R"), ("o(D)", NORMAL, "D"),
+        ("s(3)", NORMAL, "D"), ("s(3)", SCORING, "L"), ("s(-2)", SCORING, "R"),
+        ("s(0)", SCORING, "D"), ("o(R)", SCORING, "R"),
+    ]
+    for text, convention, expected in terminal_roots:
+        assert outcome(parse_position(text), convention, memo=memo) == expected
+    for convention in (NORMAL, SCORING):
+        assert outcome(won, convention, memo=memo) == "L"
+        assert outcome(lost, convention, memo=memo) == "R"
     for position in (sq({1}, {2}, 1), sq({1}, {2}, 3)):  # terminal, then not
         with pytest.raises(ValueError):
             outcome(position, "bogus")
