@@ -7,12 +7,16 @@ transforms: each node builds its key and matrix once, reads its terminal
 payoff once at a leaf, and solves its matrix once per transform.  The memo
 holds values only, keyed by (canonical key, convention, transform): a key may
 stand for several isomorphic boards whose options come in different orders,
-so mixes are never stored.  ``evaluate`` always solves the root's own matrix,
-takes only its cells' values from the walk, and hands back the root's
-labelled value matrix with the value and mixes.  ``guarantee_profile`` is one
-walk over the two security transforms (win payoffs only) and gives each
-player's guaranteed winning probability; ``outcome`` is read from that
-profile.  A call without a memo uses a fresh one of its own.
+so mixes are never stored.  Because the walk needs values only, it first
+checks each matrix for a pure saddle point (maximin equal to minimax) and
+takes that entry as the exact value; only a matrix without one goes to the
+simplex, ``game_value``.  ``evaluate`` always solves the root's own matrix
+with the simplex, takes only its cells' values from the walk, and hands back
+the root's labelled value matrix with the value and mixes.
+``guarantee_profile`` is one walk over the two security transforms (win
+payoffs only) and gives each player's guaranteed winning probability;
+``outcome`` is read from that profile.  A call without a memo uses a fresh
+one of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LoopyGame
-from .matgame import game_value
+from .matgame import game_value, saddle_value
 from .position import (
     OUTCOME_DRAW,
     OUTCOME_LEFT,
@@ -176,8 +180,9 @@ def _value(p, convention, transforms, memo, path) -> tuple[Fraction, ...]:
 
     Only a hit on every transform skips the node; a partial hit computes it
     again in full, and ``Memo.put`` checks the values it already held.  The
-    recursion keeps no mixes, and builds each matrix inline to keep the
-    stack shallow.
+    recursion keeps no mixes, so a matrix with a pure saddle point is valued
+    by that entry without the simplex.  Each matrix is built inline to keep
+    the stack shallow.
     """
     key = p.canonical_key()
     hits = []
@@ -201,12 +206,20 @@ def _value(p, convention, transforms, memo, path) -> tuple[Fraction, ...]:
         ]
         path.discard(key)
         values = tuple(
-            game_value([[cell[i] for cell in row] for row in cells]).value
+            _matrix_value([[cell[i] for cell in row] for row in cells])
             for i in range(len(transforms))
         )
     for t, value in zip(transforms, values):
         memo.put((key, convention, t), value)
     return values
+
+
+def _matrix_value(rows) -> Fraction:
+    """Exact value of a matrix inside the walk: its saddle entry if it has
+    one, else the simplex value.  The root, whose mixes are reported, is
+    never valued here."""
+    value = saddle_value(rows)
+    return game_value(rows).value if value is None else value
 
 
 def guarantee_profile(

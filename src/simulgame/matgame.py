@@ -1,10 +1,14 @@
 """Exact zero-sum matrix games over the rationals.
 
 The row player maximizes, the column player minimizes.  Everything here is
-computed with ``fractions.Fraction``; there is no floating point and no
-tolerance anywhere.  ``game_value`` is the production solver (simplex with
-Bland's rule), ``support_enumeration_value`` and ``fictitious_play`` are the
-two independent oracles used to certify it.
+exact: matrices and results are ``fractions.Fraction``s, and there is no
+floating point and no tolerance anywhere.  ``game_value`` is the production
+solver, a simplex with Bland's rule whose tableau rows are kept as primitive
+integer vectors (see its docstring); ``saddle_value`` reads the value of a
+game with a pure saddle point without solving for mixes.
+``support_enumeration_value`` and ``fictitious_play`` are the two
+independent oracles used to certify the solver; they compute with
+``Fraction`` throughout.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import BadParameters, DimensionMismatch, SimulgameError, SizeLimit
@@ -47,64 +52,105 @@ def game_value(rows: Sequence[Sequence]) -> Solution:
     The LP is the classical reciprocal formulation on a copy of the matrix
     shifted to be strictly positive.  Bland's rule (lowest variable index)
     makes the pivot sequence, and therefore the returned mixes, deterministic.
+
+    The tableau is kept in Python ints, fraction-free in the spirit of
+    Bareiss (Math. Comp. 1968).  Each constraint row is a positive multiple
+    of its rational row: cleared of denominators by its own lcm, and divided
+    by the gcd of its entries after every pivot, so it stays the unique
+    primitive integer multiple of that row.  The objective row keeps one
+    positive integer denominator.  Positive row scaling changes no sign and
+    no ratio, and ratios are compared by cross-multiplication, so Bland's
+    rule reads exactly what it would read in a rational tableau and takes
+    the same pivots.  One common denominator for the whole matrix is avoided
+    on purpose: cell values of deep sums carry denominators of hundreds of
+    digits, their lcm runs to thousands, and every entry would carry it.
+    Fractions are formed only when the value and the mixes are read off.
     """
     a = as_matrix(rows)
     m, n = len(a), len(a[0])
     low = min(min(row) for row in a)
     shift = Fraction(1) - low if low <= 0 else Fraction(0)
-    b = [[x + shift for x in row] for row in a]
 
-    # Maximize sum(y) subject to B y <= 1, y >= 0.  Variables 0..n-1 are the
-    # structural y, n..n+m-1 the slacks; the last column is the RHS.
-    width = n + m + 1
+    # Maximize sum(y) subject to B y <= 1, y >= 0, B = A + shift.  Variables
+    # 0..n-1 are the structural y, n..n+m-1 the slacks; the last column,
+    # rhs, is the right-hand side.
+    rhs = n + m
     tab = []
     for i in range(m):
-        row = b[i] + [Fraction(0)] * m + [Fraction(1)]
-        row[n + i] = Fraction(1)
-        tab.append(row)
-    obj = [Fraction(-1)] * n + [Fraction(0)] * (m + 1)
+        scale = lcm(shift.denominator, *(x.denominator for x in a[i]))
+        lift = shift.numerator * (scale // shift.denominator)
+        row = [x.numerator * (scale // x.denominator) + lift for x in a[i]] + [0] * m + [scale]
+        row[n + i] = scale
+        g = gcd(*row)
+        tab.append([x // g for x in row])
+    # The objective row is obj / den.
+    obj = [-1] * n + [0] * (m + 1)
+    den = 1
     basis = [n + i for i in range(m)]
 
     while True:
         enter = -1
-        for j in range(n + m):
+        for j in range(rhs):
             if obj[j] < 0:
                 enter = j
                 break
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in range(m):
             coef = tab[i][enter]
             if coef > 0:
-                ratio = tab[i][width - 1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # Is tab[i][rhs] / coef below the best ratio so far?
+                lhs = tab[i][rhs] * tab[leave][enter]
+                best = tab[leave][rhs] * coef
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise SimulgameError("unbounded game LP; matrix shift failed")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        prow = tab[leave]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+            f = tab[i][enter]
+            if i != leave and f != 0:
+                row = [piv * x - f * y for x, y in zip(tab[i], prow)]
+                g = gcd(*row)
+                tab[i] = [x // g for x in row] if g != 1 else row
+        f = obj[enter]
+        obj = [piv * x - f * y for x, y in zip(obj, prow)]
+        den *= piv
+        g = gcd(den, *obj)
+        if g != 1:
+            obj = [x // g for x in obj]
+            den //= g
         basis[leave] = enter
 
-    total = obj[width - 1]
-    assert total > 0
-    shifted_value = 1 / total
-    ys = [Fraction(0)] * n
+    total = obj[rhs]
+    if total <= 0:
+        raise SimulgameError("game LP has no positive optimum; matrix shift failed")
+    # The LP optimum is total / den and the shifted game value its inverse.
+    shifted_value = Fraction(den, total)
+    ys = [0] * n
     for i in range(m):
         if basis[i] < n:
-            ys[basis[i]] = tab[i][width - 1]
+            ys[basis[i]] = Fraction(tab[i][rhs], tab[i][basis[i]])
     col_mix = tuple(y * shifted_value for y in ys)
-    row_mix = tuple(obj[n + i] * shifted_value for i in range(m))
+    row_mix = tuple(Fraction(obj[n + i], total) for i in range(m))
     return Solution(shifted_value - shift, row_mix, col_mix)
+
+
+def saddle_value(rows: Sequence[Sequence[Fraction]]) -> Fraction | None:
+    """Value of the game if it has a pure saddle point, else None.
+
+    The best row minimum (maximin) never exceeds the least column maximum
+    (minimax); they are equal exactly when some entry is the least of its
+    row and the greatest of its column, and that entry is then the value.
+    No mix is computed.
+    """
+    maximin = max(map(min, rows))
+    return maximin if maximin == min(map(max, zip(*rows))) else None
 
 
 def _solve_linear(mat: Matrix, rhs: list[Fraction]):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from simulgame import engine
 from simulgame.analysis import clobber_kn_expected
 from simulgame.engine import (
     ARR,
@@ -12,6 +13,7 @@ from simulgame.engine import (
     NORMAL,
     SCORING,
     Memo,
+    _matrix_value,
     _terminal_payoff,
     evaluate,
     guarantee_profile,
@@ -19,7 +21,7 @@ from simulgame.engine import (
 )
 from simulgame.errors import LoopyGame, UnknownRuleset
 from simulgame.gexpr import parse_position
-from simulgame.matgame import game_value
+from simulgame.matgame import game_value, saddle_value, support_enumeration_value
 from simulgame.position import Position, score
 from simulgame.rulesets import (
     ClobberPosition,
@@ -251,6 +253,74 @@ def test_partial_memo_hits_are_recomputed():
     entries = len(warm)
     assert guarantee_profile(position, NORMAL, memo=warm) == guarantee_profile(position, NORMAL)
     assert len(warm) == 2 * entries
+
+
+def _has_pure_saddle(rows):
+    """Some entry is the least of its row and the greatest of its column."""
+    return any(
+        x == min(row) and x == max(other[j] for other in rows)
+        for row in rows
+        for j, x in enumerate(row)
+    )
+
+
+def _solved_matrices(monkeypatch, position, presolve):
+    """Matrices handed to the simplex by one evaluate, with its report and
+    memo size; without the pre-solve every matrix goes to the simplex."""
+    solved = []
+
+    def counting(rows):
+        solved.append(rows)
+        return game_value(rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "game_value", counting)
+        if not presolve:
+            patch.setattr(engine, "saddle_value", lambda rows: None)
+        memo = Memo()
+        report = evaluate(position, NORMAL, memo=memo)
+    return solved, report, len(memo)
+
+
+# (position, matrices the walk solves, how many interior ones lack a pure
+# saddle point, memo entries, value), recorded from a simplex-only walk.
+PRESOLVE_CASES = [
+    ("sq{1,2}{1,3}(5) ^ sq{1,2}{2,3}(4)", 5, 0, 16, F(1, 2)),
+    ("sq{1,2}{1,3}(7) ^ sq{1,2}{2,3}(6)", 17, 4, 31, F(1, 8)),
+    ("sq{1}{2}(4) + sq{1}{2}(3)", 9, 3, 12, F(3, 4)),
+]
+
+
+@pytest.mark.parametrize("text,matrices,mixed,entries,value", PRESOLVE_CASES)
+def test_walk_sends_only_the_root_and_mixed_matrices_to_the_simplex(
+    monkeypatch, text, matrices, mixed, entries, value
+):
+    position = parse_position(text)
+    every, reference, reference_entries = _solved_matrices(monkeypatch, position, False)
+    solved, report, memo_entries = _solved_matrices(monkeypatch, position, True)
+    assert len(every) == matrices and every[-1] == [list(row) for row in report.values]
+    interior = [rows for rows in every[:-1] if not _has_pure_saddle(rows)]
+    assert len(interior) == mixed
+    assert solved == interior + [every[-1]]
+    assert report == reference and report.ex == value
+    assert memo_entries == reference_entries == entries
+
+
+def test_presolve_value_is_the_game_value():
+    rng = random.Random(29)
+    saddles = 0
+    for _ in range(400):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        d = rng.choice([1, 2, 3])
+        a = [[F(rng.randint(-2, 2), d) for _ in range(n)] for _ in range(m)]
+        exact = support_enumeration_value(a)
+        assert _matrix_value(a) == game_value(a).value == exact
+        value = saddle_value(a)
+        assert (value is not None) == _has_pure_saddle(a)
+        if value is not None:
+            saddles += 1
+            assert value == exact
+    assert 0 < saddles < 400
 
 
 def test_profile_bounds():

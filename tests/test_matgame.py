@@ -1,12 +1,15 @@
 """Solver unit tests: frozen values, invariants, and cross-oracle checks."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from simulgame.errors import BadParameters, DimensionMismatch, SizeLimit
 from simulgame.matgame import (
+    Solution,
     eliminate_dominated,
     fictitious_play,
     game_value,
@@ -36,6 +39,64 @@ def check_solution(matrix, sol):
         assert sum(sol.row_mix[i] * matrix[i][j] for i in range(m)) >= sol.value
     for i in range(m):
         assert sum(matrix[i][j] * sol.col_mix[j] for j in range(n)) <= sol.value
+
+
+# Exact solutions recorded from the Fraction-tableau simplex.  Where several
+# mixes are optimal, Bland's rule picks one, so these pin the pivot sequence.
+SOLUTION_TABLE = [
+    ("constant-2x2", [["2", "2"], ["2", "2"]], "2", ["1", "0"], ["1", "0"]),
+    ("constant-3x3", [["-5/2"] * 3] * 3, "-5/2", ["1", "0", "0"], ["1", "0", "0"]),
+    ("duplicate-rows", [["0", "1"], ["1", "0"], ["0", "1"]],
+     "1/2", ["1/2", "1/2", "0"], ["1/2", "1/2"]),
+    ("duplicate-cols", [["0", "1", "1"], ["1", "0", "0"]],
+     "1/2", ["1/2", "1/2"], ["1/2", "1/2", "0"]),
+    ("duplicate-rows-and-cols", [["1", "1", "0"], ["0", "0", "1"], ["1", "1", "0"]],
+     "1/2", ["1/2", "1/2", "0"], ["1/2", "0", "1/2"]),
+    ("any-column-mix-optimal", [["1", "1"], ["1", "0"]], "1", ["1", "0"], ["1", "0"]),
+    ("any-row-mix-optimal", [["1", "0"], ["1", "0"], ["0", "1"]],
+     "1/2", ["1/2", "0", "1/2"], ["1/2", "1/2"]),
+    ("ratio-ties", [["1/2", "1/2", "0"], ["1/2", "0", "1/2"], ["0", "1/2", "1/2"]],
+     "1/3", ["1/3", "1/3", "1/3"], ["1/3", "1/3", "1/3"]),
+    ("zero-rows", [["-1", "1"], ["1", "-1"], ["0", "0"], ["0", "0"]],
+     "0", ["1/2", "1/2", "0", "0"], ["1/2", "1/2"]),
+    ("one-by-four", [["3", "-1", "2", "-1"]], "-1", ["1"], ["0", "1", "0", "0"]),
+    ("four-by-one", [["3"], ["-1"], ["2"], ["-1"]], "3", ["1", "0", "0", "0"], ["1"]),
+    ("negative", [["-3", "-1"], ["-2", "-4"]], "-5/2", ["1/2", "1/2"], ["3/4", "1/4"]),
+    ("rock-paper-scissors", [["0", "-1", "1"], ["1", "0", "-1"], ["-1", "1", "0"]],
+     "0", ["1/3", "1/3", "1/3"], ["1/3", "1/3", "1/3"]),
+    ("mixed-fractions",
+     [["1/3", "-2/7", "5/6"], ["-1/2", "3/4", "0"], ["2/5", "1/9", "-3/8"]],
+     "10175/72063", ["8309/24021", "6292/24021", "20/51"],
+     ["27845/72063", "70/157", "12088/72063"]),
+    # The root of sq{1,2}{1,3}(5) ^ sq{1,2}{2,3}(4): duplicate 0/1 rows and
+    # columns throughout.
+    ("conj-strips-root-16x16", [list(row) for row in (
+        "0110011001100110", "1001100110011001", "0010001000100010", "0001000100010001",
+        "0110011001100110", "1001100110011001", "0010001000100010", "0001000100010001",
+        "0110011001100000", "1001100110010000", "0010001000100000", "0001000100010000",
+        "0110011000000110", "1001100000001001", "0010001000000010", "0001000100000001",
+    )], "1/2", ["1/2", "1/2"] + ["0"] * 14, ["1/2", "1/2"] + ["0"] * 14),
+]
+
+
+def _recorded(value, row_mix, col_mix):
+    return Solution(F(value), tuple(map(F, row_mix)), tuple(map(F, col_mix)))
+
+
+@pytest.mark.parametrize("name,matrix,value,row_mix,col_mix", SOLUTION_TABLE)
+def test_solution_table(name, matrix, value, row_mix, col_mix):
+    sol = game_value([[F(x) for x in row] for row in matrix])
+    assert sol == _recorded(value, row_mix, col_mix)
+
+
+def test_solution_with_long_denominators():
+    # A cell matrix of the three-strip + probe, with 212-digit denominators.
+    case = json.loads((Path(__file__).parent / "data" / "plus_probe_matrix.json").read_text())
+    matrix = [[F(x) for x in row] for row in case["matrix"]]
+    assert max(len(str(x.denominator)) for row in matrix for x in row) >= 200
+    sol = game_value(matrix)
+    assert sol == _recorded(case["value"], case["row_mix"], case["col_mix"])
+    check_solution(matrix, sol)
 
 
 def test_matching_draws_value():
