@@ -44,7 +44,6 @@ from .rulesets import (
     clobber_complete,
     clobber_simultaneous,
     clobber_strip,
-    hackenbush_score,
     hackenbush_simultaneous,
     hb_cordon,
     hb_forest,

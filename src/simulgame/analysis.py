@@ -30,23 +30,33 @@ def reduce_game(p: Position, convention: str = NORMAL, *, memo: Memo | None = No
 
     The result is an explicit game with the surviving options; its expected
     value in isolation equals the original's.  Without a memo the whole
-    reduction shares a fresh one.
+    reduction shares a fresh one.  Equal subgames are reduced once per call
+    and share one result.  The table is keyed by the positions themselves,
+    not by canonical keys: one key can stand for boards whose options come
+    in other orders.
     """
     memo = memo if memo is not None else Memo()
-    report = evaluate(p, convention, memo=memo)
-    if report.terminal:
-        return p
-    _, keep_rows, keep_cols = eliminate_dominated(report.values)
-    # Matrix rows and columns follow option order.
-    cells = p.move_matrix().cells
-    left_options, right_options = p.left_options(), p.right_options()
-    lefts = tuple(reduce_game(left_options[i][1], convention, memo=memo) for i in keep_rows)
-    rights = tuple(reduce_game(right_options[j][1], convention, memo=memo) for j in keep_cols)
-    table = tuple(
-        tuple(reduce_game(cells[i][j], convention, memo=memo) for j in keep_cols)
-        for i in keep_rows
-    )
-    return ExplicitGame(lefts, rights, table)
+    reduced: dict[Position, Position] = {}
+
+    def reduce(q: Position) -> Position:
+        if q in reduced:
+            return reduced[q]
+        report = evaluate(q, convention, memo=memo)
+        if report.terminal:
+            out = q
+        else:
+            _, keep_rows, keep_cols = eliminate_dominated(report.values)
+            # Matrix rows and columns follow option order.
+            cells = q.move_matrix().cells
+            left_options, right_options = q.left_options(), q.right_options()
+            lefts = tuple(reduce(left_options[i][1]) for i in keep_rows)
+            rights = tuple(reduce(right_options[j][1]) for j in keep_cols)
+            table = tuple(tuple(reduce(cells[i][j]) for j in keep_cols) for i in keep_rows)
+            out = ExplicitGame(lefts, rights, table)
+        reduced[q] = out
+        return out
+
+    return reduce(p)
 
 
 def compare_continued_scoring(g: Position, h: Position, *, memo: Memo | None = None) -> ComparisonResult:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotTerminal, UnknownRuleset
 
@@ -42,8 +43,31 @@ class MoveMatrix:
 EMPTY_MATRIX = MoveMatrix((), (), ())
 
 
+class Mobility(NamedTuple):
+    """Who can move, and who still has a move when play stops (``left_ok``,
+    ``right_ok``: the move flags themselves for a plain position).  A sum
+    adds the components the players move in and those whose scores count,
+    as indices; no option list or successor is ever kept here."""
+
+    left: bool
+    right: bool
+    left_ok: bool
+    right_ok: bool
+    movers: tuple[int, ...] = ()
+    scored: tuple[int, ...] = ()
+
+
+# The four readings of a plain position, shared by every instance.
+_PLAIN = {(lm, rm): Mobility(lm, rm, lm, rm) for lm in (False, True) for rm in (False, True)}
+
+
 class Position:
-    """Base class: subclasses provide options and the text of a canonical key."""
+    """Base class: subclasses provide options and the text of a canonical key.
+
+    Like the key, the mobility reading (who can move, and who still has a
+    move when play stops) is read once, on first use, and kept on the
+    instance; terminality, the normal-play outcome and ``v_a`` read only it.
+    """
 
     ruleset_tag = "abstract"
 
@@ -72,19 +96,35 @@ class Position:
             object.__setattr__(self, "_key", self._key_text())
         return self._key
 
+    _reading = None
+
+    def _mobility(self) -> Mobility:
+        """The mobility reading, read on first use and kept on the instance."""
+        if self._reading is None:
+            object.__setattr__(self, "_reading", self._read_mobility())
+        return self._reading
+
+    def _read_mobility(self) -> Mobility:
+        """A plain position reads its own option lists; sums override this."""
+        return _PLAIN[bool(self.left_options()), bool(self.right_options())]
+
     def has_left_option(self) -> bool:
-        return bool(self.left_options())
+        return self._mobility().left
 
     def has_right_option(self) -> bool:
-        return bool(self.right_options())
+        return self._mobility().right
 
     def is_terminal(self) -> bool:
         """Simultaneous option set empty: either player is out of moves."""
-        return not (self.has_left_option() and self.has_right_option())
+        reading = self._mobility()
+        return not (reading.left and reading.right)
 
     def move_matrix(self) -> MoveMatrix:
+        """Also records the mobility reading from the option lists it builds."""
         lo = self.left_options()
         ro = self.right_options()
+        if self._reading is None:
+            object.__setattr__(self, "_reading", _PLAIN[bool(lo), bool(ro)])
         if not lo or not ro:
             return EMPTY_MATRIX
         cells = tuple(
@@ -94,17 +134,17 @@ class Position:
 
     def normal_outcome(self) -> str:
         """Winner of a terminal position by who still has moves."""
-        if not self.is_terminal():
+        reading = self._mobility()
+        if reading.left and reading.right:
             raise NotTerminal("outcome is defined for terminal positions only")
-        hl, hr = self.has_left_option(), self.has_right_option()
-        if hl and not hr:
+        if reading.left_ok and not reading.right_ok:
             return OUTCOME_LEFT
-        if hr and not hl:
+        if reading.right_ok and not reading.left_ok:
             return OUTCOME_RIGHT
         return OUTCOME_DRAW
 
     def terminal_score(self) -> Fraction:
-        """Score of a terminal position; sums override with their own rule."""
+        """Score of a terminal position: its ``component_score``."""
         if not self.is_terminal():
             raise NotTerminal("score is defined for terminal positions only")
         return self.component_score()
@@ -133,27 +173,31 @@ def v_a(p: Position) -> int:
 
     Positive when only Left can move, negative when only Right can; the
     magnitude is the longest chain of unilateral moves that never opens a
-    move for the opponent.  Raises NotTerminal while both players can move.
+    move for the opponent.  Each position of the chain is expanded once per
+    call.  Raises NotTerminal while both players can move.
     """
     require_position(p)
-    hl, hr = p.has_left_option(), p.has_right_option()
-    if hl and hr:
+    reading = p._mobility()
+    if reading.left and reading.right:
         raise NotTerminal("v_a needs a position where some player cannot move")
-    if not hl and not hr:
+    if not reading.left and not reading.right:
         return 0
-    if hl:
-        return _chain(p, left=True)
-    return -_chain(p, left=False)
+    if reading.left:
+        return _chain(p, True, {})
+    return -_chain(p, False, {})
 
 
-def _chain(p: Position, left: bool) -> int:
+def _chain(p: Position, left: bool, table: dict) -> int:
+    """Longest unilateral chain from p; ``table`` maps each child seen in
+    this call to what a move into it adds (0 if it lets the opponent move)."""
     best = 0
     options = p.left_options() if left else p.right_options()
     for _, child in options:
-        blocked = child.has_right_option() if left else child.has_left_option()
-        if blocked:
-            continue
-        best = max(best, 1 + _chain(child, left))
+        if child not in table:
+            reading = child._mobility()
+            blocked = reading.right if left else reading.left
+            table[child] = 0 if blocked else 1 + _chain(child, left, table)
+        best = max(best, table[child])
     return best
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadCordonSpec, BadParameters, IllegalMove, NotTerminal
+from .errors import BadCordonSpec, BadParameters, IllegalMove
 from .position import Position
 
 BLUE, RED, GREEN = "B", "R", "G"
@@ -343,13 +343,6 @@ class HackenbushPosition(Position):
         return HackenbushPosition(
             self.roots, tuple((i, u, v, flip[c]) for i, u, v, c in self.edges)
         )
-
-
-def hackenbush_score(p: HackenbushPosition) -> Fraction:
-    """Score of a finished board: the signed count of the surviving colour."""
-    if not p.is_terminal():
-        raise NotTerminal("hackenbush score reads a terminal position")
-    return p.component_score()
 
 
 def hackenbush_simultaneous(p: HackenbushPosition, left_edge: int, right_edge: int):

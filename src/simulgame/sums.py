@@ -2,29 +2,16 @@
 
 A sum is itself a position, so sums nest and components may come from
 different rulesets.  The three kinds differ only in which components a
-player moves in and in when play stops.  A player's pure strategy is one
-move in each component that player moves in; the sum's options and its
-move matrix both come from that one enumeration.  A matrix cell is
-composed from the components: a component both players moved in takes the
-cell of its own move matrix, and any other moved component takes its
-unilateral successor.  Evaluation of a sum is still global: the sum's
-matrix ranges over whole strategy tuples, and its components are never
-pre-reduced (reducing components first changes values; see the analysis
-module for the witnesses).
-
-Termination and winner rules per kind:
-
-* ``+`` each player moves in one component; over when either player has no
-  move anywhere; the mover with moves left wins.
-* ``^`` each player moves in every component; over when any component has
-  no simultaneous options; whoever still has a move in every finished
-  component wins.
-* ``v`` each player moves in every component where both still have moves;
-  over when no component is live; whoever has a move in every component
-  wins.
-
-Scoring terminals: ``+`` and ``v`` add up every component's score, ``^``
-adds up the scores of the components that finished.
+player moves in and in when play stops; ``SumPosition._read_mobility``
+states those rules, once, over the components' own mobility readings.  A
+player's pure strategy is one move in each component that player moves in;
+the sum's options and its move matrix both come from that one enumeration.
+A matrix cell is composed from the components: a component both players
+moved in takes the cell of its own move matrix, and any other moved
+component takes its unilateral successor.  Evaluation of a sum is still
+global: the sum's matrix ranges over whole strategy tuples, and its
+components are never pre-reduced (reducing components first changes
+values; see the analysis module for the witnesses).
 """
 
 from __future__ import annotations
@@ -33,15 +20,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import BadParameters, NotTerminal
-from .position import (
-    OUTCOME_DRAW,
-    OUTCOME_LEFT,
-    OUTCOME_RIGHT,
-    EMPTY_MATRIX,
-    MoveMatrix,
-    Position,
-    v_a,
-)
+from .position import EMPTY_MATRIX, Mobility, MoveMatrix, Position
 
 DISJUNCTIVE = "+"
 CONJUNCTIVE = "^"
@@ -53,7 +32,9 @@ class SumPosition(Position):
     """A sum of at least two component positions, flattened and canonically
     ordered so that commutative rearrangements are the same position.
 
-    The key is built eagerly, since it orders the components.  Equality
+    The key is built eagerly, since it orders the components; the mobility
+    reading is not, since most sums built as matrix cells are answered by
+    the memo and never asked who can move.  Equality
     compares the kind and the components themselves, not the key, so it
     never merges sums whose components only share an isomorphism class.
     The move matrix is composed from the components' own matrices, each
@@ -93,9 +74,39 @@ class SumPosition(Position):
 
     # -- option structure ----------------------------------------------------
 
-    def _live(self):
-        """Indices of components where both players still have moves."""
-        return [i for i, c in enumerate(self.components) if not c.is_terminal()]
+    def _read_mobility(self) -> Mobility:
+        """This sum's kind rule, applied once to its components' readings.
+
+        * ``+`` each player moves in one component; over when either player
+          has no move anywhere; the mover with moves left wins.
+        * ``^`` each player moves in every component; over when any
+          component has no simultaneous options; whoever still has a move in
+          every finished component wins.
+        * ``v`` each player moves in every component where both still have
+          moves; over when no component is live; whoever has a move in every
+          component wins.
+
+        A finished ``^`` or ``v`` sum offers no move to either player.
+        Scoring terminals: ``+`` and ``v`` add up every component's score,
+        ``^`` adds up the scores of the components that finished.
+        """
+        readings = [c._mobility() for c in self.components]
+        every = tuple(range(len(readings)))
+        if self.kind == DISJUNCTIVE:
+            left = any(m.left for m in readings)
+            right = any(m.right for m in readings)
+            return Mobility(left, right, left, right, every, every)
+        finished = tuple(i for i in every if not (readings[i].left and readings[i].right))
+        if self.kind == CONJUNCTIVE:
+            live = not finished
+            judged, movers, scored = finished, every, finished
+        else:
+            live = len(finished) < len(every)
+            judged, scored = every, every
+            movers = tuple(i for i in every if i not in finished)
+        left_ok = all(readings[i].left for i in judged)
+        right_ok = all(readings[i].right for i in judged)
+        return Mobility(live, live, left_ok, right_ok, movers, scored)
 
     def _replace(self, updates: dict[int, Position]) -> "SumPosition":
         comps = [updates.get(i, c) for i, c in enumerate(self.components)]
@@ -103,7 +114,13 @@ class SumPosition(Position):
 
     def _strategies(self, left: bool):
         """One player's pure strategies, each a tuple of component moves
-        ``(component, option index, label, successor)``."""
+        ``(component, option index, label, successor)``.  A player with no
+        move anywhere has none; in particular a finished ``^`` or ``v`` sum
+        offers none, while a finished ``+`` sum still offers the mobile
+        player's component moves."""
+        reading = self._mobility()
+        if not (reading.left if left else reading.right):
+            return []
 
         def moves(i):
             comp = self.components[i]
@@ -111,15 +128,8 @@ class SumPosition(Position):
             return [(i, k, lbl, succ) for k, (lbl, succ) in enumerate(options)]
 
         if self.kind == DISJUNCTIVE:
-            return [(move,) for i in range(len(self.components)) for move in moves(i)]
-        # A finished conjunctive or continued sum offers no moves at all;
-        # only the pick-one-component sum keeps exposing component moves
-        # from its own terminal states (a one-sided component is playable
-        # there until the mover runs out everywhere).
-        if self.is_terminal():
-            return []
-        indices = range(len(self.components)) if self.kind == CONJUNCTIVE else self._live()
-        return list(itertools.product(*(moves(i) for i in indices)))
+            return [(move,) for i in reading.movers for move in moves(i)]
+        return list(itertools.product(*(moves(i) for i in reading.movers)))
 
     def _options(self, left: bool):
         return tuple(
@@ -132,23 +142,6 @@ class SumPosition(Position):
 
     def right_options(self):
         return self._options(left=False)
-
-    def has_left_option(self) -> bool:
-        if self.kind == DISJUNCTIVE:
-            return any(c.has_left_option() for c in self.components)
-        return not self.is_terminal()
-
-    def has_right_option(self) -> bool:
-        if self.kind == DISJUNCTIVE:
-            return any(c.has_right_option() for c in self.components)
-        return not self.is_terminal()
-
-    def is_terminal(self) -> bool:
-        if self.kind == DISJUNCTIVE:
-            return not (self.has_left_option() and self.has_right_option())
-        if self.kind == CONJUNCTIVE:
-            return any(c.is_terminal() for c in self.components)
-        return not self._live()
 
     def move_matrix(self) -> MoveMatrix:
         """Rows and columns follow option order."""
@@ -178,40 +171,13 @@ class SumPosition(Position):
             tuple(_label(row) for row in rows), tuple(_label(col) for col in cols), tuple(cells)
         )
 
-    # -- terminal readings -----------------------------------------------------
-
-    def normal_outcome(self) -> str:
-        if not self.is_terminal():
-            raise NotTerminal("outcome is defined for terminal positions only")
-        comps = self.components
-        if self.kind == DISJUNCTIVE:
-            left_ok, right_ok = self.has_left_option(), self.has_right_option()
-        elif self.kind == CONJUNCTIVE:
-            done = [c for c in comps if c.is_terminal()]
-            left_ok = all(c.has_left_option() for c in done)
-            right_ok = all(c.has_right_option() for c in done)
-        else:
-            left_ok = all(c.has_left_option() for c in comps)
-            right_ok = all(c.has_right_option() for c in comps)
-        if left_ok and not right_ok:
-            return OUTCOME_LEFT
-        if right_ok and not left_ok:
-            return OUTCOME_RIGHT
-        return OUTCOME_DRAW
-
-    def terminal_score(self) -> Fraction:
-        if not self.is_terminal():
-            raise NotTerminal("score is defined for terminal positions only")
-        if self.kind == CONJUNCTIVE:
-            parts = [c for c in self.components if c.is_terminal()]
-        else:
-            parts = self.components
-        return sum((c.component_score() for c in parts), Fraction(0))
-
     def component_score(self) -> Fraction:
-        if self.is_terminal():
-            return self.terminal_score()
-        return Fraction(v_a(self))
+        """Sum of the scores of the components that count; raises
+        NotTerminal while play goes on."""
+        reading = self._mobility()
+        if reading.left and reading.right:
+            raise NotTerminal("score is defined for terminal positions only")
+        return sum((self.components[i].component_score() for i in reading.scored), Fraction(0))
 
 
 def _label(strategy) -> str:

@@ -161,6 +161,24 @@ def test_reduce_preserves_value():
             assert evaluate(reduced, convention, memo=MEMO).ex == evaluate(p, convention, memo=MEMO).ex
 
 
+def test_reduce_evaluates_each_position_once(monkeypatch):
+    # Equal subgames are reduced once per call; without that table cl:K5
+    # made 3,145 evaluate calls.
+    from simulgame import analysis
+
+    calls = []
+    original = analysis.evaluate
+
+    def counting(p, *args, **kwargs):
+        calls.append(p)
+        return original(p, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "evaluate", counting)
+    reduced = reduce_game(clobber_complete(5), SCORING)
+    assert len(calls) == len(set(calls)) <= 121
+    assert evaluate(reduced, SCORING).ex == F(3, 2)
+
+
 def test_value_substitution_understates_paired_strips():
     # Replacing each clobber strip by its lone value predicts 1 for the
     # paired sum; playing the sum itself yields 3/2.

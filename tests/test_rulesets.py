@@ -271,9 +271,8 @@ def test_hackenbush_role_swap():
 
 def test_hackenbush_score_guard():
     from simulgame.errors import NotTerminal
-    from simulgame.rulesets import hackenbush_score
 
-    assert hackenbush_score(hb_stalk("BB")) == 2
-    assert hackenbush_score(hb_stalk("")) == 0
+    assert hb_stalk("BB").terminal_score() == 2
+    assert hb_stalk("").terminal_score() == 0
     with pytest.raises(NotTerminal):
-        hackenbush_score(hb_stalk("BR"))
+        hb_stalk("BR").terminal_score()

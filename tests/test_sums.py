@@ -1,5 +1,7 @@
 """Sum combinators: termination, winners, scores, and the negative results."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile, outcome
 from simulgame.errors import BadParameters, NotTerminal
 from simulgame.position import ExplicitGame, outcome_literal, score, v_a
-from simulgame.rulesets import clobber_strip, hb_stalk, sq
+from simulgame.rulesets import SqPosition, clobber_strip, hb_stalk, sq
 from simulgame.sums import SumPosition, conjunctive, continued_conjunctive, disjunctive
 from simulgame.verify import additivity_sample
 
@@ -235,6 +237,114 @@ def test_move_count_score_examples():
 def test_move_count_score_requires_one_sided_position():
     with pytest.raises(NotTerminal):
         v_a(sq({1}, {2}, 3))
+
+
+def test_move_count_score_builds_each_strip_once(monkeypatch):
+    # Every strip of the chain is reached by two moves (from either end);
+    # each length is expanded once, not once per path.
+    n = 14
+    builds = Counter()
+    original = SqPosition.left_options
+
+    def counting(self):
+        builds[self.n] += 1
+        return original(self)
+
+    monkeypatch.setattr(SqPosition, "left_options", counting)
+    assert v_a(sq({1}, {100}, n)) == n
+    assert sum(builds.values()) <= 2 * (n + 1)
+
+
+# -- kind rules --------------------------------------------------------------------
+
+# Leaf components with their scores, stated by hand.
+LEAVES = {
+    "o(L)": (outcome_literal("L"), 1),
+    "o(R)": (outcome_literal("R"), -1),
+    "o(D)": (outcome_literal("D"), 0),
+    "s(2)": (score(2), 2),
+    "sq{1}{5}(2)": (sq({1}, {5}, 2), 2),  # one-sided: only Left moves
+    "sq{1}{2}(3)": (s12(3), None),  # live
+}
+
+
+def _expected(kind, parts):
+    """Readings of a sum from its (component, score) parts: who can move,
+    whether play stopped, and at a stop the winner and the score.  Each
+    component's mobility comes from its own option lists."""
+    moves = [(bool(c.left_options()), bool(c.right_options())) for c, _ in parts]
+    finished = [i for i, (lm, rm) in enumerate(moves) if not (lm and rm)]
+    if kind == "+":
+        left = any(lm for lm, _ in moves)
+        right = any(rm for _, rm in moves)
+        left_ok, right_ok, scored = left, right, range(len(parts))
+    else:
+        stopped = bool(finished) if kind == "^" else len(finished) == len(parts)
+        left = right = not stopped
+        judged = finished if kind == "^" else range(len(parts))
+        left_ok = all(moves[i][0] for i in judged)
+        right_ok = all(moves[i][1] for i in judged)
+        scored = finished if kind == "^" else range(len(parts))
+    terminal = not (left and right)
+    out = dict(terminal=terminal, left=left, right=right, outcome=None, score=None)
+    if terminal:
+        out["outcome"] = "L" if left_ok and not right_ok else "R" if right_ok and not left_ok else "D"
+        out["score"] = sum(parts[i][1] for i in scored)
+    return out
+
+
+def _check_readings(s, want):
+    assert s.is_terminal() == want["terminal"]
+    assert s.has_left_option() == want["left"] == bool(s.left_options())
+    assert s.has_right_option() == want["right"] == bool(s.right_options())
+    if want["terminal"]:
+        assert s.normal_outcome() == want["outcome"]
+        assert s.terminal_score() == want["score"]
+    else:
+        with pytest.raises(NotTerminal):
+            s.normal_outcome()
+        with pytest.raises(NotTerminal):
+            s.terminal_score()
+
+
+@pytest.mark.parametrize("kind", ["+", "^", "v"])
+@pytest.mark.parametrize("size", [2, 3])
+def test_kind_rule_table(kind, size):
+    for names in itertools.combinations_with_replacement(LEAVES, size):
+        parts = [LEAVES[name] for name in names]
+        s = SumPosition(kind, [c for c, _ in parts])
+        _check_readings(s, _expected(kind, parts))
+
+
+def test_finished_conjunctive_inside_continued():
+    # A finished ^ sum offers no move to either player, whatever its own
+    # winner, so inside a v sum it counts as a component nobody can move in.
+    inner = conjunctive(outcome_literal("L"), s12(3))
+    assert inner.is_terminal() and inner.normal_outcome() == "L"
+    assert inner.terminal_score() == 1
+    for part in LEAVES.values():
+        s = continued_conjunctive(inner, part[0])
+        _check_readings(s, _expected("v", [(inner, 1), part]))
+    pair = continued_conjunctive(inner, outcome_literal("L"))
+    assert pair.normal_outcome() == "D"
+
+
+def test_predicates_read_each_component_once(monkeypatch):
+    builds = Counter()
+    for side in ("left_options", "right_options"):
+        original = getattr(SqPosition, side)
+
+        def counting(self, original=original, side=side):
+            builds[self.n, side] += 1
+            return original(self)
+
+        monkeypatch.setattr(SqPosition, side, counting)
+    s = continued_conjunctive(sq({1}, {5}, 2), s12(0))
+    for _ in range(5):
+        assert s.is_terminal()
+        assert not s.has_left_option() and not s.has_right_option()
+        assert s.normal_outcome() == "D"
+    assert builds and max(builds.values()) == 1
 
 
 def test_kind_specific_option_builders():
