@@ -42,14 +42,11 @@ from .rulesets import (
     HackenbushPosition,
     SqPosition,
     clobber_complete,
-    clobber_simultaneous,
     clobber_strip,
-    hackenbush_simultaneous,
     hb_cordon,
     hb_forest,
     hb_stalk,
     sq,
-    sq_simultaneous,
 )
 from .sums import (
     SumPosition,

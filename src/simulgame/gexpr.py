@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import BadLiteral, GameSyntaxError, MixedOperators, UnknownRuleset
+from .errors import BadLiteral, BadParameters, GameSyntaxError, MixedOperators, UnknownRuleset
 from .position import ExplicitGame, ScoreLiteral, outcome_literal, score
 from .rulesets import (
     BUILTIN_BOARDS,
@@ -407,12 +407,10 @@ def to_position(expr):
         lefts = tuple(to_position(g) for g in expr.lefts)
         rights = tuple(to_position(g) for g in expr.rights)
         table = tuple(tuple(to_position(g) for g in row) for row in expr.table)
-        if lefts and rights:
-            if len(table) != len(lefts) or any(len(row) != len(rights) for row in table):
-                raise BadLiteral("LR grid must be |L| rows of |R| entries")
-        elif table:
-            raise BadLiteral("LR grid must be empty when an option list is empty")
-        return ExplicitGame(lefts, rights, table)
+        try:
+            return ExplicitGame(lefts, rights, table)
+        except BadParameters as exc:
+            raise BadLiteral(str(exc)) from exc
     if isinstance(expr, ScoreExpr):
         return score(expr.value)
     if isinstance(expr, OutcomeExpr):

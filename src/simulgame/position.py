@@ -1,10 +1,14 @@
 """Position model shared by every ruleset and sum combinator.
 
-A position exposes its Left options, Right options, and the joint result of
-any (Left move, Right move) pair.  Terminality, the terminal outcome under
-the move-based winning convention, and the terminal score all derive from
-those three primitives.  Positions are immutable and hashable; evaluation
-never mutates them.
+A position exposes its Left options, its Right options, and a private pair
+rule ``_joint`` that resolves a (Left move, Right move) pair of their
+labels.  Legality is one rule for every position: a pair is legal exactly
+when each move is among its player's options.  ``move_matrix`` applies the
+pair rule to the labels of the option lists it has just built, so a ruleset
+never checks a pair, and ``joint_option`` is a checked lookup into that
+matrix.  Terminality, the terminal outcome under the move-based winning
+convention, and the terminal score all derive from the option lists.
+Positions are immutable and hashable; evaluation never mutates them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NotTerminal, UnknownRuleset
+from .errors import BadParameters, IllegalMove, NotTerminal, UnknownRuleset
 
 OUTCOME_LEFT = "L"
 OUTCOME_RIGHT = "R"
@@ -79,7 +83,9 @@ class Position:
     def right_options(self) -> tuple[tuple[str, "Position"], ...]:
         raise NotImplementedError
 
-    def joint_option(self, left_label: str, right_label: str) -> "Position":
+    def _joint(self, left_label: str, right_label: str) -> "Position":
+        """The successor of an option pair, resolved without any check:
+        ``move_matrix`` passes only labels from the option lists."""
         raise NotImplementedError
 
     def _key_text(self) -> str:
@@ -127,10 +133,21 @@ class Position:
             object.__setattr__(self, "_reading", _PLAIN[bool(lo), bool(ro)])
         if not lo or not ro:
             return EMPTY_MATRIX
-        cells = tuple(
-            tuple(self.joint_option(ll, rl) for rl, _ in ro) for ll, _ in lo
-        )
+        cells = tuple(tuple(self._joint(ll, rl) for rl, _ in ro) for ll, _ in lo)
         return MoveMatrix(tuple(l for l, _ in lo), tuple(r for r, _ in ro), cells)
+
+    def joint_option(self, left_label: str, right_label: str) -> "Position":
+        """The successor when Left plays ``left_label`` and Right plays
+        ``right_label`` at once: that cell of ``move_matrix()``.  Raises
+        IllegalMove unless each label is among its player's options."""
+        m = self.move_matrix()
+        if m.is_empty:
+            raise IllegalMove(f"no simultaneous move in {self.ruleset_tag} position")
+        if left_label not in m.row_labels:
+            raise IllegalMove(f"Left has no option {left_label!r}")
+        if right_label not in m.col_labels:
+            raise IllegalMove(f"Right has no option {right_label!r}")
+        return m.cells[m.row_labels.index(left_label)][m.col_labels.index(right_label)]
 
     def normal_outcome(self) -> str:
         """Winner of a terminal position by who still has moves."""
@@ -215,9 +232,6 @@ class ScoreLiteral(Position):
     def right_options(self):
         return ()
 
-    def joint_option(self, left_label, right_label):
-        raise KeyError((left_label, right_label))
-
     def _key_text(self) -> str:
         return f"s({self.value})"
 
@@ -244,11 +258,10 @@ class ExplicitGame(Position):
 
     def __post_init__(self):
         if self.lefts and self.rights:
-            assert len(self.table) == len(self.lefts)
-            for row in self.table:
-                assert len(row) == len(self.rights)
-        else:
-            assert self.table == ()
+            if [len(row) for row in self.table] != [len(self.rights)] * len(self.lefts):
+                raise BadParameters("LR grid must be |L| rows of |R| entries")
+        elif self.table:
+            raise BadParameters("LR grid must be empty when an option list is empty")
 
     def left_options(self):
         return tuple((f"L{i}", g) for i, g in enumerate(self.lefts))
@@ -256,7 +269,7 @@ class ExplicitGame(Position):
     def right_options(self):
         return tuple((f"R{j}", g) for j, g in enumerate(self.rights))
 
-    def joint_option(self, left_label, right_label):
+    def _joint(self, left_label, right_label):
         return self.table[int(left_label[1:])][int(right_label[1:])]
 
     def _key_text(self) -> str:

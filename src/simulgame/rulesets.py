@@ -1,7 +1,10 @@
 """The three concrete rulesets: subtraction strips, clobber, hackenbush.
 
-Each position type implements the options/joint/score contract from
-``position.Position``.  Builders at the bottom construct the boards the
+Each position type gives its option lists, the private pair rule
+``_joint`` that resolves a pair of option labels, ``_key_text`` and, where
+the ruleset has one, its own score (see ``position.Position``).  Legality
+is membership in the option lists, checked once by ``Position``, so no
+ruleset checks a move pair.  Builders at the bottom construct the boards the
 test corpus and the expression grammar need (strips, complete graphs,
 stalks, forests, cordons).
 """
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadCordonSpec, BadParameters, IllegalMove
+from .errors import BadCordonSpec, BadParameters
 from .position import Position
 
 BLUE, RED, GREEN = "B", "R", "G"
@@ -71,10 +74,19 @@ class SqPosition(Position):
     def right_options(self):
         return self._moves(self.right_set, self.right_blocked)
 
-    def joint_option(self, left_label, right_label):
-        lmove = (int(left_label[:-1]), left_label[-1])
-        rmove = (int(right_label[:-1]), right_label[-1])
-        return sq_simultaneous(self, lmove, rmove)
+    def _joint(self, left_label, right_label) -> "SqPosition":
+        """Apply a simultaneous pair of subtraction moves."""
+        a, aside = int(left_label[:-1]), left_label[-1]
+        b, bside = int(right_label[:-1]), right_label[-1]
+        if aside == bside:
+            remaining = self.n - max(a, b)
+        elif max(a, b) <= self.n <= a + b:
+            remaining = 0
+        else:
+            remaining = self.n - a - b
+        return SqPosition(
+            self.left_set, self.right_set, remaining, self.left_blocked, self.right_blocked
+        )
 
     def _key_text(self) -> str:
         def fs(s):
@@ -89,25 +101,6 @@ class SqPosition(Position):
         return SqPosition(
             self.right_set, self.left_set, self.n, self.right_blocked, self.left_blocked
         )
-
-
-def sq_simultaneous(p: SqPosition, left_move, right_move) -> SqPosition:
-    """Apply a simultaneous pair of subtraction moves."""
-    (a, aside) = left_move
-    (b, bside) = right_move
-    if aside not in "lr" or bside not in "lr":
-        raise IllegalMove("side must be 'l' or 'r'")
-    if a not in p.left_set or a > p.n or p.n in p.left_blocked:
-        raise IllegalMove(f"Left may not take {a} from a strip of {p.n}")
-    if b not in p.right_set or b > p.n or p.n in p.right_blocked:
-        raise IllegalMove(f"Right may not take {b} from a strip of {p.n}")
-    if aside == bside:
-        remaining = p.n - max(a, b)
-    elif max(a, b) <= p.n <= a + b:
-        remaining = 0
-    else:
-        remaining = p.n - a - b
-    return SqPosition(p.left_set, p.right_set, remaining, p.left_blocked, p.right_blocked)
 
 
 def sq(left, right, n, primed=False) -> SqPosition:
@@ -171,14 +164,6 @@ class ClobberPosition(Position):
             if self.occupancy[v] == target
         ]
 
-    def _can_clobber(self, move, mover: str, target: str) -> bool:
-        u, v = move
-        return (
-            ((u, v) in self.edges or (v, u) in self.edges)
-            and self.occupancy[u] == mover
-            and self.occupancy[v] == target
-        )
-
     def left_options(self):
         return tuple(
             (f"{u}>{v}", self._apply_unilateral(u, v, left=True))
@@ -197,10 +182,24 @@ class ClobberPosition(Position):
         occ[v] = "X" if left else "O"
         return ClobberPosition(self.edges, tuple(occ), self.acc + (1 if left else 0))
 
-    def joint_option(self, left_label, right_label):
+    def _joint(self, left_label, right_label) -> "ClobberPosition":
+        """Resolve a simultaneous pair of clobber moves."""
         lu, lv = (int(x) for x in left_label.split(">"))
         ru, rv = (int(x) for x in right_label.split(">"))
-        return clobber_simultaneous(self, (lu, lv), (ru, rv))
+        occ = list(self.occupancy)
+        acc = self.acc
+        if ru == lv and rv == lu:
+            # The two movers clobber each other; both disappear, no credit.
+            occ[lu] = "_"
+            occ[lv] = "_"
+        else:
+            occ[lu] = "_"
+            occ[ru] = "_"
+            if ru != lv:
+                acc += 1  # the targeted O was still there at resolution
+            occ[lv] = "X"
+            occ[rv] = "O"
+        return ClobberPosition(self.edges, tuple(occ), acc)
 
     def _key_text(self) -> str:
         neighbors = self._neighbors()
@@ -235,30 +234,6 @@ def _adjacency(edges: frozenset[tuple[int, int]], size: int) -> tuple[tuple[int,
         neighbors[u].append(v)
         neighbors[v].append(u)
     return tuple(tuple(sorted(vs)) for vs in neighbors)
-
-
-def clobber_simultaneous(p: ClobberPosition, left_move, right_move) -> ClobberPosition:
-    """Resolve a simultaneous pair of clobber moves."""
-    lu, lv = left_move
-    ru, rv = right_move
-    if not p._can_clobber(left_move, "X", "O"):
-        raise IllegalMove(f"Left cannot clobber {lu}->{lv}")
-    if not p._can_clobber(right_move, "O", "X"):
-        raise IllegalMove(f"Right cannot clobber {ru}->{rv}")
-    occ = list(p.occupancy)
-    acc = p.acc
-    if ru == lv and rv == lu:
-        # The two movers clobber each other; both disappear, no credit.
-        occ[lu] = "_"
-        occ[lv] = "_"
-    else:
-        occ[lu] = "_"
-        occ[ru] = "_"
-        if ru != lv:
-            acc += 1  # the targeted O was still there at resolution
-        occ[lv] = "X"
-        occ[rv] = "O"
-    return ClobberPosition(p.edges, tuple(occ), acc)
 
 
 def _path_edges(length: int) -> frozenset[tuple[int, int]]:
@@ -314,8 +289,9 @@ class HackenbushPosition(Position):
             (f"e{e[0]}", self._remove({e[0]})) for e in self._edges_for((RED, GREEN))
         )
 
-    def joint_option(self, left_label, right_label):
-        return hackenbush_simultaneous(self, int(left_label[1:]), int(right_label[1:]))
+    def _joint(self, left_label, right_label) -> "HackenbushPosition":
+        """Remove both chosen edges (once, if the same green edge), then prune."""
+        return self._remove({int(left_label[1:]), int(right_label[1:])})
 
     def _remove(self, ids: set[int]) -> "HackenbushPosition":
         kept = tuple(e for e in self.edges if e[0] not in ids)
@@ -343,17 +319,6 @@ class HackenbushPosition(Position):
         return HackenbushPosition(
             self.roots, tuple((i, u, v, flip[c]) for i, u, v, c in self.edges)
         )
-
-
-def hackenbush_simultaneous(p: HackenbushPosition, left_edge: int, right_edge: int):
-    """Remove both chosen edges (once, if the same green edge), then prune."""
-    legal_left = {e[0] for e in p._edges_for((BLUE, GREEN))}
-    legal_right = {e[0] for e in p._edges_for((RED, GREEN))}
-    if left_edge not in legal_left:
-        raise IllegalMove(f"Left cannot remove edge {left_edge}")
-    if right_edge not in legal_right:
-        raise IllegalMove(f"Right cannot remove edge {right_edge}")
-    return p._remove({left_edge, right_edge})
 
 
 def _prune(roots: frozenset[int], edges: tuple) -> tuple:

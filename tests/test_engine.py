@@ -167,7 +167,7 @@ class _Loop(Position):
     def right_options(self):
         return (("r", self),)
 
-    def joint_option(self, left_label, right_label):
+    def _joint(self, left_label, right_label):
         return self
 
     def canonical_key(self):

@@ -1,0 +1,79 @@
+"""The position contract: a move pair is legal exactly when each move is
+among its player's options, and ``joint_option`` reads the move matrix."""
+
+import pytest
+
+from simulgame.errors import BadParameters, IllegalMove
+from simulgame.position import ExplicitGame, score
+from simulgame.rulesets import clobber_complete, clobber_strip, hb_forest, sq
+from simulgame.sums import conjunctive, continued_conjunctive, disjunctive
+
+EXPLICIT = ExplicitGame(
+    (score(1), score(0)),
+    (score(-1),),
+    ((score(2),), (score(-2),)),
+)
+
+# One position of each kind, each with a simultaneous move.
+CORPUS = [
+    sq({1, 2}, {1, 3}, 5),
+    sq({1, 4}, {2}, 4, primed=True),
+    clobber_complete(4),
+    clobber_strip("OXOXO"),
+    hb_forest(["G", "BR"]),
+    EXPLICIT,
+    disjunctive(sq({1}, {2}, 3), hb_forest(["BR"])),
+    conjunctive(disjunctive(sq({1}, {2}, 3), clobber_strip("OX")), sq({1}, {3}, 4)),
+    continued_conjunctive(sq({1}, {2}, 4), EXPLICIT, hb_forest(["G"])),
+]
+
+# Positions with no simultaneous move: nobody moves, or one player only.
+STOPPED = [
+    score(3),
+    sq({1}, {2}, 1),
+    sq({1}, {2}, 2, primed=True),
+    ExplicitGame((score(0),), (), ()),
+    conjunctive(sq({1}, {2}, 3), sq({1}, {2}, 1)),
+    disjunctive(sq({1}, {2}, 1), score(2)),
+]
+
+
+@pytest.mark.parametrize("p", CORPUS, ids=lambda p: p.canonical_key())
+def test_joint_option_is_the_matrix_cell(p):
+    m = p.move_matrix()
+    assert not m.is_empty
+    for i, left in enumerate(m.row_labels):
+        for j, right in enumerate(m.col_labels):
+            assert p.joint_option(left, right) == m.cells[i][j]
+
+
+@pytest.mark.parametrize("p", CORPUS, ids=lambda p: p.canonical_key())
+def test_foreign_and_malformed_labels_name_the_player(p):
+    m = p.move_matrix()
+    left, right = m.row_labels[0], m.col_labels[0]
+    foreign_left = next((c for c in m.col_labels if c not in m.row_labels), "L99")
+    foreign_right = next((r for r in m.row_labels if r not in m.col_labels), "R99")
+    for bad in (foreign_left, "", "bogus", "1>", "e"):
+        with pytest.raises(IllegalMove, match="Left"):
+            p.joint_option(bad, right)
+    for bad in (foreign_right, "", "bogus", "1>", "e"):
+        with pytest.raises(IllegalMove, match="Right"):
+            p.joint_option(left, bad)
+
+
+@pytest.mark.parametrize("p", STOPPED, ids=lambda p: p.canonical_key())
+def test_no_simultaneous_move_is_illegal(p):
+    assert p.move_matrix().is_empty
+    labels = [l for l, _ in p.left_options()] + [r for r, _ in p.right_options()]
+    for label in labels + ["bogus"]:
+        with pytest.raises(IllegalMove, match="no simultaneous move"):
+            p.joint_option(label, label)
+
+
+def test_explicit_grid_is_checked_without_assert():
+    with pytest.raises(BadParameters, match=r"\|L\| rows of \|R\| entries"):
+        ExplicitGame((score(1),), (score(0),), ())
+    with pytest.raises(BadParameters, match=r"\|L\| rows of \|R\| entries"):
+        ExplicitGame((score(1),), (score(0),), ((score(0), score(1)),))
+    with pytest.raises(BadParameters, match="empty when an option list is empty"):
+        ExplicitGame((score(1),), (), ((score(0),),))

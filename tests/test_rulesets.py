@@ -9,14 +9,11 @@ from simulgame.position import v_a
 from simulgame.rulesets import (
     ClobberPosition,
     clobber_complete,
-    clobber_simultaneous,
     clobber_strip,
-    hackenbush_simultaneous,
     hb_cordon,
     hb_forest,
     hb_stalk,
     sq,
-    sq_simultaneous,
 )
 
 
@@ -59,26 +56,30 @@ def test_primed_blocks_left_on_two():
 
 def test_same_side_takes_max():
     p = sq({1}, {2}, 3)
-    assert sq_simultaneous(p, (1, "l"), (2, "l")).n == 1
+    assert p.joint_option("1l", "2l").n == 1
 
 
 def test_opposite_sides_subtract_both():
     p = sq({1}, {2}, 5)
-    assert sq_simultaneous(p, (1, "l"), (2, "r")).n == 2
+    assert p.joint_option("1l", "2r").n == 2
 
 
 def test_opposite_sides_clamp_to_zero():
     # Overlapping removals: max(10, 2) <= 12 <= 12 empties the strip.
     p = sq({1, 10}, {2}, 12)
-    assert sq_simultaneous(p, (10, "l"), (2, "r")).n == 0
+    assert p.joint_option("10l", "2r").n == 0
 
 
 def test_illegal_takes_rejected():
     p = sq({1}, {2}, 1)
     with pytest.raises(IllegalMove):
-        sq_simultaneous(p, (1, "l"), (2, "l"))
+        p.joint_option("1l", "2l")
     with pytest.raises(IllegalMove):
-        sq_simultaneous(sq({1}, {2}, 2, primed=True), (1, "l"), (2, "l"))
+        sq({1}, {2}, 2, primed=True).joint_option("1l", "2l")
+    with pytest.raises(IllegalMove, match="Left"):
+        sq({1}, {2}, 3).joint_option("3l", "2l")
+    with pytest.raises(IllegalMove, match="Right"):
+        sq({1}, {2}, 3).joint_option("1l", "2x")
 
 
 def test_strip_options_cover_both_sides():
@@ -128,7 +129,7 @@ def test_three_cell_forced_pair():
 
 def test_nonmutual_pair_relocates_both():
     p = clobber_strip("OXO")
-    after = clobber_simultaneous(p, (1, 0), (2, 1))
+    after = p.joint_option("1>0", "2>1")
     assert after.occupancy == ("X", "O", "_")
     assert after.acc == 1
 
@@ -157,7 +158,7 @@ def test_complete_graph_matrix_shape():
 
 def test_complete_graph_nonmutual_keeps_complete_shape():
     p = clobber_complete(4)
-    after = clobber_simultaneous(p, (0, 1), (2, 0))
+    after = p.joint_option("0>1", "2>0")
     occupied = [i for i, c in enumerate(after.occupancy) if c != "_"]
     assert len(occupied) == 3
     assert after.occupancy.count("X") == 1
@@ -165,13 +166,13 @@ def test_complete_graph_nonmutual_keeps_complete_shape():
 
 
 def test_clobber_illegal_move():
-    with pytest.raises(IllegalMove):
-        clobber_simultaneous(clobber_strip("OXO"), (1, 0), (0, 2))
+    with pytest.raises(IllegalMove, match="Right"):
+        clobber_strip("OXO").joint_option("1>0", "0>2")
     board = clobber_strip("OXXO")
     # Right's 0>1 is legal; each Left move is not.
-    for left_move in ((1, 3), (1, 2), (0, 1), (1, 7)):
+    for left_move in ("1>3", "1>2", "0>1", "1>7"):
         with pytest.raises(IllegalMove, match="Left"):
-            clobber_simultaneous(board, left_move, (0, 1))
+            board.joint_option(left_move, "0>1")
 
 
 def test_clobber_piece_count_strictly_decreases():
@@ -197,30 +198,30 @@ def test_clobber_validation():
 
 def test_single_pair_stalk_vanishes():
     p = hb_stalk("BR")
-    after = hackenbush_simultaneous(p, 0, 1)
+    after = p.joint_option("e0", "e1")
     assert after.edges == ()
 
 
 def test_pruning_drops_disconnected_top():
     p = hb_stalk("BBR")
-    after = hackenbush_simultaneous(p, 0, 2)
+    after = p.joint_option("e0", "e2")
     assert after.edges == ()
 
 
 def test_two_stalk_board_keeps_other_stalk():
     p = hb_forest(["BR", "BR"])
-    after = hackenbush_simultaneous(p, 0, 3)
+    after = p.joint_option("e0", "e3")
     assert [e[3] for e in after.edges] == ["B"]
 
 
 def test_left_cannot_take_red():
-    with pytest.raises(IllegalMove):
-        hackenbush_simultaneous(hb_stalk("BR"), 1, 1)
+    with pytest.raises(IllegalMove, match="Left"):
+        hb_stalk("BR").joint_option("e1", "e1")
 
 
 def test_green_edge_usable_by_both():
     p = hb_stalk("G")
-    after = hackenbush_simultaneous(p, 0, 0)
+    after = p.joint_option("e0", "e0")
     assert after.edges == ()
 
 
