@@ -25,7 +25,6 @@ from .analysis import reduce_game
 from .engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile, outcome
 from .errors import (
     BadLiteral,
-    BadParameters,
     GameSyntaxError,
     LoopyGame,
     SizeLimit,
@@ -84,7 +83,7 @@ def _parse_errors(text: str):
         offset = min(exc.offset, len(text))
         sys.stderr.write(f"    {text}\n    {' ' * offset}^\n")
         raise _Exit(EXIT_PARSE)
-    except (BadLiteral, UnknownRuleset, BadParameters) as exc:
+    except (BadLiteral, UnknownRuleset) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         raise _Exit(EXIT_PARSE)
 
@@ -106,66 +105,55 @@ def _parse_expr(text: str):
 
 
 def cmd_eval(args) -> int:
+    """Each measure builds its JSON payload, CSV rows and text lines; the format picks one."""
     _, position = _parse_expr(args.expr)
     memo = Memo()
     fmt = lambda fr: _fmt_rational(fr, args.decimal)
+    one = lambda value: ({"value": value}, [["measure", "value"], [args.measure, value]], [value])
     with _evaluation_errors():
         if args.measure == "ex":
-            payload = {"value": fmt(evaluate(position, args.convention, memo=memo).ex)}
+            payload, rows, lines = one(fmt(evaluate(position, args.convention, memo=memo).ex))
         elif args.measure == "score":
-            payload = {"value": fmt(evaluate(position, SCORING, memo=memo).ex)}
+            payload, rows, lines = one(fmt(evaluate(position, SCORING, memo=memo).ex))
         elif args.measure == "outcome":
-            payload = {"value": outcome(position, args.convention, memo=memo)}
+            payload, rows, lines = one(outcome(position, args.convention, memo=memo))
         elif args.measure == "index":
             prof = guarantee_profile(position, args.convention, memo=memo)
-            payload = {"ell": fmt(prof.ell), "arr": fmt(prof.arr)}
+            ell, arr = fmt(prof.ell), fmt(prof.arr)
+            payload = {"ell": ell, "arr": arr}
+            rows = [["ell", "arr"], [ell, arr]]
+            lines = [f"[{ell}, {arr}]"]
         elif args.measure == "strategies":
             report = evaluate(position, args.convention, memo=memo)
-            payload = {
-                "value": fmt(report.ex),
-                "left_mix": {l: fmt(p) for l, p in zip(report.row_labels, report.left_mix)},
-                "right_mix": {l: fmt(p) for l, p in zip(report.col_labels, report.right_mix)},
-            }
+            value = fmt(report.ex)
+            left = {l: fmt(p) for l, p in zip(report.row_labels, report.left_mix)}
+            right = {l: fmt(p) for l, p in zip(report.col_labels, report.right_mix)}
+            payload = {"value": value, "left_mix": left, "right_mix": right}
+            rows = [["kind", "label", "value"], ["value", "", value]]
+            rows += [["left", l, p] for l, p in left.items()]
+            rows += [["right", l, p] for l, p in right.items()]
+            lines = [
+                f"value {value}",
+                "left  " + "  ".join(f"{l}:{p}" for l, p in left.items()),
+                "right " + "  ".join(f"{l}:{p}" for l, p in right.items()),
+            ]
         else:  # matrix
             report = evaluate(position, args.convention, memo=memo)
-            payload = {
-                "rows": list(report.row_labels),
-                "cols": list(report.col_labels),
-                "ex": [[fmt(v) for v in row] for row in report.values],
-            }
+            ex = [[fmt(v) for v in row] for row in report.values]
+            payload = {"rows": list(report.row_labels), "cols": list(report.col_labels), "ex": ex}
+            body = list(zip(report.row_labels, ex))
+            rows = [[""] + payload["cols"]] + [[r] + vals for r, vals in body]
+            width = max([len(r) for r in report.row_labels] + [1])
+            lines = [" " * (width + 1) + "  ".join(report.col_labels)]
+            lines += [f"{r:<{width}}  " + "  ".join(vals) for r, vals in body]
 
-    header = {"expr": args.expr, "convention": args.convention, "measure": args.measure}
     if args.format == "json":
+        header = {"expr": args.expr, "convention": args.convention, "measure": args.measure}
         _emit(json.dumps(header | payload))
     elif args.format == "csv":
-        if args.measure == "matrix":
-            rows = [[""] + payload["cols"]]
-            rows += [[r] + vals for r, vals in zip(payload["rows"], payload["ex"])]
-        elif args.measure == "index":
-            rows = [["ell", "arr"], [payload["ell"], payload["arr"]]]
-        elif args.measure == "strategies":
-            rows = [["kind", "label", "value"], ["value", "", payload["value"]]]
-            rows += [["left", l, p] for l, p in payload["left_mix"].items()]
-            rows += [["right", l, p] for l, p in payload["right_mix"].items()]
-        else:
-            rows = [["measure", "value"], [args.measure, payload["value"]]]
         _emit(_csv_text(rows))
     else:
-        if args.measure == "matrix":
-            width = max(
-                [len(r) for r in payload["rows"]] + [1]
-            )
-            _emit(" " * (width + 1) + "  ".join(payload["cols"]))
-            for label, vals in zip(payload["rows"], payload["ex"]):
-                _emit(f"{label:<{width}}  " + "  ".join(vals))
-        elif args.measure == "index":
-            _emit(f"[{payload['ell']}, {payload['arr']}]")
-        elif args.measure == "strategies":
-            _emit(f"value {payload['value']}")
-            _emit("left  " + "  ".join(f"{l}:{p}" for l, p in payload["left_mix"].items()))
-            _emit("right " + "  ".join(f"{l}:{p}" for l, p in payload["right_mix"].items()))
-        else:
-            _emit(payload["value"])
+        _emit("\n".join(lines))
     return EXIT_OK
 
 

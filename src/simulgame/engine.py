@@ -92,12 +92,10 @@ class Memo:
 
     It stores exact values only, never mixes or reports, so one entry can
     serve every board that shares the key.  Insertion is idempotent:
-    re-inserting a key must carry the same value.  A limit of 0 disables
-    storage entirely; None means unlimited.
+    re-inserting a key must carry the same value.
     """
 
-    def __init__(self, limit: int | None = None):
-        self.limit = limit
+    def __init__(self):
         self._table: dict = {}
 
     def get(self, key):
@@ -105,12 +103,10 @@ class Memo:
 
     def put(self, key, value):
         old = self._table.get(key)
-        if old is not None:
-            if old != value:
-                raise AssertionError(f"memo collision for {key}")
-            return
-        if self.limit is None or len(self._table) < self.limit:
+        if old is None:
             self._table[key] = value
+        elif old != value:
+            raise AssertionError(f"memo collision for {key}")
 
     def __len__(self):
         return len(self._table)

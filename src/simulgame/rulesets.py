@@ -2,9 +2,9 @@
 
 Each position type gives its option lists, the private pair rule
 ``_joint`` that resolves a pair of option labels, ``_key_text`` and, where
-the ruleset has one, its own score (see ``position.Position``).  Legality
-is membership in the option lists, checked once by ``Position``, so no
-ruleset checks a move pair.  Builders at the bottom construct the boards the
+the ruleset has one, its own score hook ``_score`` (see ``position``).
+Legality is membership in the option lists, checked once by ``Position``,
+so no ruleset checks a move pair.  Builders at the bottom construct the boards the
 test corpus and the expression grammar need (strips, complete graphs,
 stalks, forests, cordons).
 """
@@ -223,7 +223,7 @@ class ClobberPosition(Position):
         es = ",".join(f"{a}-{b}" for a, b in edges)
         return f"cl({es}|{''.join(self.occupancy[u] for u in order)}|{self.acc})"
 
-    def component_score(self) -> Fraction:
+    def _score(self) -> Fraction:
         return Fraction(self.acc)
 
 
@@ -302,7 +302,7 @@ class HackenbushPosition(Position):
         es = ";".join(f"{i}:{u}-{v}{c}" for i, u, v, c in self.edges)
         return f"hb(roots[{rs}]|{es})"
 
-    def component_score(self) -> Fraction:
+    def _score(self) -> Fraction:
         """Signed count of the surviving colour; move counting if mixed."""
         colors = [e[3] for e in self.edges]
         blues, reds, greens = colors.count(BLUE), colors.count(RED), colors.count(GREEN)
@@ -312,7 +312,7 @@ class HackenbushPosition(Position):
             return Fraction(blues)
         if reds and not blues and not greens:
             return Fraction(-reds)
-        return super().component_score()
+        return super()._score()
 
     def swap_roles(self) -> "HackenbushPosition":
         flip = {BLUE: RED, RED: BLUE, GREEN: GREEN}

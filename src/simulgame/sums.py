@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import BadParameters, NotTerminal
+from .errors import BadParameters
 from .position import EMPTY_MATRIX, Mobility, MoveMatrix, Position
 
 DISJUNCTIVE = "+"
@@ -171,13 +171,12 @@ class SumPosition(Position):
             tuple(_label(row) for row in rows), tuple(_label(col) for col in cols), tuple(cells)
         )
 
-    def component_score(self) -> Fraction:
-        """Sum of the scores of the components that count; raises
-        NotTerminal while play goes on."""
-        reading = self._mobility()
-        if reading.left and reading.right:
-            raise NotTerminal("score is defined for terminal positions only")
-        return sum((self.components[i].component_score() for i in reading.scored), Fraction(0))
+    def _score(self) -> Fraction:
+        """Sum of the scores of the components that count.  Each is finished:
+        ``^`` counts only finished components, and a finished ``+`` or ``v``
+        sum has no other kind."""
+        scored = self._mobility().scored
+        return sum((self.components[i].terminal_score() for i in scored), Fraction(0))
 
 
 def _label(strategy) -> str:

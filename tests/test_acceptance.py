@@ -203,7 +203,7 @@ def test_c08_small_strips_and_paired_sum():
     two = clobber_strip("OX")
     mm = two.move_matrix()
     after = mm.cells[0][0]
-    emptied = after.occupancy == ("_", "_") and after.component_score() == 0
+    emptied = after.occupancy == ("_", "_") and after.terminal_score() == 0
     oox = ex("cl[OOX]", SCORING)
     paired = ex("cl[OOX] + cl[XOO] + s(1)", SCORING)
     by_parts = ex("cl[OOX]", SCORING) + ex("cl[XOO]", SCORING) + 1

@@ -101,6 +101,57 @@ def test_eval_unknown_builtin_exit_2(capsys):
     assert code == 2
 
 
+def test_eval_builder_rejection_exit_2(capsys):
+    code, out, err = run(capsys, "eval", "cl:K1")
+    assert code == 2 and out == ""
+    assert err == "parse error: complete-graph clobber needs n >= 2\n"
+
+
+# Exact stdout of every measure in text and CSV, for a sum with a mixed root
+# and for a terminal position.
+LAYOUT = {
+    ("sq{1}{2}(3) + hb[R]", "ex", "text"): "-1/2\n",
+    ("sq{1}{2}(3) + hb[R]", "ex", "csv"): "measure,value\r\nex,-1/2\r\n",
+    ("sq{1}{2}(3) + hb[R]", "index", "text"): "[0, 1/2]\n",
+    ("sq{1}{2}(3) + hb[R]", "index", "csv"): "ell,arr\r\n0,1/2\r\n",
+    ("sq{1}{2}(3) + hb[R]", "outcome", "text"): "R\n",
+    ("sq{1}{2}(3) + hb[R]", "outcome", "csv"): "measure,value\r\noutcome,R\r\n",
+    ("sq{1}{2}(3) + hb[R]", "score", "text"): "-1/2\n",
+    ("sq{1}{2}(3) + hb[R]", "score", "csv"): "measure,value\r\nscore,-1/2\r\n",
+    ("sq{1}{2}(3) + hb[R]", "matrix", "text"): (
+        "     0:e0  1:2l  1:2r\n1:1l  0  0  -1\n1:1r  0  -1  0\n"
+    ),
+    ("sq{1}{2}(3) + hb[R]", "matrix", "csv"): (
+        ",0:e0,1:2l,1:2r\r\n1:1l,0,0,-1\r\n1:1r,0,-1,0\r\n"
+    ),
+    ("sq{1}{2}(3) + hb[R]", "strategies", "text"): (
+        "value -1/2\nleft  1:1l:1/2  1:1r:1/2\nright 0:e0:0  1:2l:1/2  1:2r:1/2\n"
+    ),
+    ("sq{1}{2}(3) + hb[R]", "strategies", "csv"): (
+        "kind,label,value\r\nvalue,,-1/2\r\nleft,1:1l,1/2\r\nleft,1:1r,1/2\r\n"
+        "right,0:e0,0\r\nright,1:2l,1/2\r\nright,1:2r,1/2\r\n"
+    ),
+    ("s(2)", "ex", "text"): "0\n",
+    ("s(2)", "ex", "csv"): "measure,value\r\nex,0\r\n",
+    ("s(2)", "index", "text"): "[0, 0]\n",
+    ("s(2)", "index", "csv"): "ell,arr\r\n0,0\r\n",
+    ("s(2)", "outcome", "text"): "D\n",
+    ("s(2)", "outcome", "csv"): "measure,value\r\noutcome,D\r\n",
+    ("s(2)", "score", "text"): "2\n",
+    ("s(2)", "score", "csv"): "measure,value\r\nscore,2\r\n",
+    ("s(2)", "matrix", "text"): "  \n",
+    ("s(2)", "matrix", "csv"): '""\r\n',
+    ("s(2)", "strategies", "text"): "value 0\nleft  \nright \n",
+    ("s(2)", "strategies", "csv"): "kind,label,value\r\nvalue,,0\r\n",
+}
+
+
+@pytest.mark.parametrize("expr, measure, fmt", list(LAYOUT))
+def test_eval_text_and_csv_layout(capsys, expr, measure, fmt):
+    code, out, _ = run(capsys, "eval", expr, "--measure", measure, "--format", fmt)
+    assert code == 0 and out == LAYOUT[expr, measure, fmt]
+
+
 def test_eval_evaluation_error_exit_3(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise LoopyGame("cycle")

@@ -136,26 +136,36 @@ def test_value_between_maximin_and_minimax():
         assert -1 <= ex <= 1
 
 
+class _NoStore(Memo):
+    """A memo that keeps nothing: the memo-free reference walk."""
+
+    def put(self, key, value):
+        pass
+
+
 def test_memo_on_equals_memo_off():
     sample = [sq({1}, {2}, 6), sq({1}, {2}, 5, primed=True), clobber_strip("OOXO"), hb_stalk("BRB")]
     sample.append(disjunctive(sq({1}, {2}, 2), sq({1}, {2}, 3)))
     for position in sample:
         for convention in (NORMAL, SCORING):
             with_memo = evaluate(position, convention, memo=Memo())
-            without = evaluate(position, convention, memo=Memo(limit=0))
+            without = evaluate(position, convention, memo=_NoStore())
             assert with_memo == without
+
+
+def test_memo_put_keeps_the_first_value_and_rejects_another():
+    memo = Memo()
+    memo.put("k", Fraction(1, 2))
+    memo.put("k", Fraction(1, 2))
+    assert len(memo) == 1 and memo.get("k") == Fraction(1, 2)
+    with pytest.raises(AssertionError, match="memo collision"):
+        memo.put("k", Fraction(1, 3))
 
 
 def test_repeated_calls_identical():
     memo = Memo()
     p = sq({1}, {2}, 7)
     assert evaluate(p, NORMAL, memo=memo) == evaluate(p, NORMAL, memo=memo)
-
-
-def test_memo_limit_caps_entries():
-    memo = Memo(limit=3)
-    evaluate(sq({1}, {2}, 8), NORMAL, memo=memo)
-    assert len(memo) <= 3
 
 
 class _Loop(Position):
@@ -393,7 +403,7 @@ def test_clobber_keys_are_sound():
     groups = {}
     for board in boards:
         values = tuple(
-            evaluate(board, convention, transform=transform, memo=Memo(limit=0)).ex
+            evaluate(board, convention, transform=transform, memo=_NoStore()).ex
             for convention in (NORMAL, SCORING)
             for transform in (None, ELL, ARR)
         )

@@ -5,7 +5,13 @@ import random
 import pytest
 
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate
-from simulgame.errors import BadLiteral, GameSyntaxError, MixedOperators, UnknownRuleset
+from simulgame.errors import (
+    BadCordonSpec,
+    BadLiteral,
+    GameSyntaxError,
+    MixedOperators,
+    UnknownRuleset,
+)
 from simulgame.gexpr import (
     ClCompleteExpr,
     ClStripExpr,
@@ -105,17 +111,30 @@ def test_lowering_builtins():
         parse_position("hb:fig99")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("hb[BQ]", "unknown edge colour 'Q'"),
+        ("cl[OY]", "bad occupancy symbol 'Y'"),
+        ("cl:K1", "complete-graph clobber needs n >= 2"),
+        ("sq{0}{2}(3)", "subtraction amounts must be positive"),
+        ("x{L:[s(1)] | R:[s(1)] | LR:[]}", "|L| rows of |R| entries"),
+    ],
+)
+def test_lowering_reports_the_builders_rejection(text, message):
+    with pytest.raises(BadLiteral) as info:
+        parse_position(text)
+    assert message in str(info.value)
+
+
 def test_lowering_validates_literals():
-    with pytest.raises(BadLiteral):
-        parse_position("hb[BQ]")
-    with pytest.raises(BadLiteral):
-        parse_position("cl[OY]")
-    with pytest.raises(BadLiteral):
-        parse_position("x{L:[s(1)] | R:[s(1)] | LR:[]}")
-    with pytest.raises(BadLiteral):
-        parse_position("sq{0}{2}(3)")
     with pytest.raises(GameSyntaxError):
         parse("sq{}{2}(3)")  # int sets are nonempty in the grammar
+    # Lowering maps only BadParameters, never every SimulgameError: the
+    # benchmark test test_correct_answers_pass_and_known_crashes_fail
+    # (perfbench/test_perfbench.py) requires this input to crash.
+    with pytest.raises(BadCordonSpec):
+        parse_position("hb cordon(0; )")
 
 
 def test_sum_lowering_matches_direct_construction():

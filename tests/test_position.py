@@ -1,9 +1,10 @@
 """The position contract: a move pair is legal exactly when each move is
-among its player's options, and ``joint_option`` reads the move matrix."""
+among its player's options, ``joint_option`` reads the move matrix, and
+``terminal_score`` is the one public score."""
 
 import pytest
 
-from simulgame.errors import BadParameters, IllegalMove
+from simulgame.errors import BadParameters, IllegalMove, NotTerminal
 from simulgame.position import ExplicitGame, score
 from simulgame.rulesets import clobber_complete, clobber_strip, hb_forest, sq
 from simulgame.sums import conjunctive, continued_conjunctive, disjunctive
@@ -77,3 +78,28 @@ def test_explicit_grid_is_checked_without_assert():
         ExplicitGame((score(1),), (score(0),), ((score(0), score(1)),))
     with pytest.raises(BadParameters, match="empty when an option list is empty"):
         ExplicitGame((score(1),), (), ((score(0),),))
+
+
+# One position of each kind: a strip, a clobber path and complete graph, a
+# stalk, an explicit game, a score, and a sum of each kind.
+KINDS = [
+    sq({1}, {2}, 3),
+    clobber_strip("XO"),
+    clobber_complete(4),
+    hb_forest(["BRB"]),
+    EXPLICIT,
+    score(3),
+    disjunctive(sq({1}, {2}, 3), hb_forest(["BR"])),
+    conjunctive(sq({1}, {2}, 3), clobber_strip("OX")),
+    continued_conjunctive(sq({1}, {2}, 4), hb_forest(["G"])),
+]
+
+
+@pytest.mark.parametrize("p", KINDS, ids=lambda p: p.canonical_key())
+def test_terminal_score_is_the_only_public_score(p):
+    assert not hasattr(p, "component_score")
+
+
+def test_terminal_score_checks_that_play_is_over():
+    with pytest.raises(NotTerminal):
+        clobber_strip("XO").terminal_score()

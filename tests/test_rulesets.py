@@ -226,9 +226,9 @@ def test_green_edge_usable_by_both():
 
 
 def test_hackenbush_score_rule():
-    assert hb_stalk("BB").component_score() == 2
-    assert hb_stalk("RRR").component_score() == -3
-    assert hb_stalk("").component_score() == 0
+    assert hb_stalk("BB").terminal_score() == 2
+    assert hb_stalk("RRR").terminal_score() == -3
+    assert hb_stalk("").terminal_score() == 0
 
 
 def test_move_count_score():
