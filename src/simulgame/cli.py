@@ -6,16 +6,15 @@ dominance-reduced game with ``reduce``.
 
 Exit codes are fixed for scripting: 0 success, 1 verification failure,
 2 parse error, 3 evaluation error.  Rationals print as ``p/q`` in lowest
-terms unless ``--decimal`` asks for rounded digits.
+terms; ``--decimal K`` rounds them half-even to K digits exactly, with
+plain digits and no sign on a result of zero.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import decimal
-import io
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -30,7 +29,9 @@ from .errors import (
     SizeLimit,
     UnknownRuleset,
 )
-from .gexpr import SqExpr, SumExpr, parse, render_position, to_position
+from .gexpr import parse_position, render_position
+from .rulesets import SqPosition
+from .sums import SumPosition
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -49,182 +50,125 @@ def non_negative_int(text: str) -> int:
 
 
 def _fmt_rational(value: Fraction, decimals: int | None) -> str:
+    """``p/q``, or ``value`` rounded half-even to ``decimals`` digits exactly,
+    as plain digits with no sign on a result of zero."""
     if decimals is None:
         return str(value)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
-        quantum = decimal.Decimal(1).scaleb(-decimals)
-        return str(d.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN))
+    units = round(value * 10**decimals)
+    sign = "-" if units < 0 else ""
+    digits = str(abs(units)).rjust(decimals + 1, "0")
+    if decimals == 0:
+        return sign + digits
+    return f"{sign}{digits[:-decimals]}.{digits[-decimals:]}"
 
 
-def _csv_text(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-class _Exit(Exception):
-    """Ends a subcommand with the exit code it carries; the message is on stderr."""
-
-
-@contextlib.contextmanager
-def _parse_errors(text: str):
-    """Map a failure to parse or lower ``text`` to a message and exit 2."""
-    try:
-        yield
-    except GameSyntaxError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        offset = min(exc.offset, len(text))
-        sys.stderr.write(f"    {text}\n    {' ' * offset}^\n")
-        raise _Exit(EXIT_PARSE)
-    except (BadLiteral, UnknownRuleset) as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        raise _Exit(EXIT_PARSE)
-
-
-@contextlib.contextmanager
-def _evaluation_errors():
-    """Map a failed evaluation to a message and exit 3."""
-    try:
-        yield
-    except (LoopyGame, SizeLimit) as exc:
-        sys.stderr.write(f"evaluation error: {exc}\n")
-        raise _Exit(EXIT_EVAL)
-
-
-def _parse_expr(text: str):
-    with _parse_errors(text):
-        tree = parse(text)
-        return tree, to_position(tree)
+def _write(fmt: str, payload, rows, lines) -> None:
+    """Print the one output ``fmt`` picks: a JSON object, CSV rows or text lines."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(payload) + "\n")
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\r\n").writerows(rows)
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def cmd_eval(args) -> int:
     """Each measure builds its JSON payload, CSV rows and text lines; the format picks one."""
-    _, position = _parse_expr(args.expr)
+    position = parse_position(args.expr)
     memo = Memo()
     fmt = lambda fr: _fmt_rational(fr, args.decimal)
     one = lambda value: ({"value": value}, [["measure", "value"], [args.measure, value]], [value])
-    with _evaluation_errors():
-        if args.measure == "ex":
-            payload, rows, lines = one(fmt(evaluate(position, args.convention, memo=memo).ex))
-        elif args.measure == "score":
-            payload, rows, lines = one(fmt(evaluate(position, SCORING, memo=memo).ex))
-        elif args.measure == "outcome":
-            payload, rows, lines = one(outcome(position, args.convention, memo=memo))
-        elif args.measure == "index":
-            prof = guarantee_profile(position, args.convention, memo=memo)
-            ell, arr = fmt(prof.ell), fmt(prof.arr)
-            payload = {"ell": ell, "arr": arr}
-            rows = [["ell", "arr"], [ell, arr]]
-            lines = [f"[{ell}, {arr}]"]
-        elif args.measure == "strategies":
-            report = evaluate(position, args.convention, memo=memo)
-            value = fmt(report.ex)
-            left = {l: fmt(p) for l, p in zip(report.row_labels, report.left_mix)}
-            right = {l: fmt(p) for l, p in zip(report.col_labels, report.right_mix)}
-            payload = {"value": value, "left_mix": left, "right_mix": right}
-            rows = [["kind", "label", "value"], ["value", "", value]]
-            rows += [["left", l, p] for l, p in left.items()]
-            rows += [["right", l, p] for l, p in right.items()]
-            lines = [
-                f"value {value}",
-                "left  " + "  ".join(f"{l}:{p}" for l, p in left.items()),
-                "right " + "  ".join(f"{l}:{p}" for l, p in right.items()),
-            ]
-        else:  # matrix
-            report = evaluate(position, args.convention, memo=memo)
-            ex = [[fmt(v) for v in row] for row in report.values]
-            payload = {"rows": list(report.row_labels), "cols": list(report.col_labels), "ex": ex}
-            body = list(zip(report.row_labels, ex))
-            rows = [[""] + payload["cols"]] + [[r] + vals for r, vals in body]
-            width = max([len(r) for r in report.row_labels] + [1])
-            lines = [" " * (width + 1) + "  ".join(report.col_labels)]
-            lines += [f"{r:<{width}}  " + "  ".join(vals) for r, vals in body]
-
-    if args.format == "json":
-        header = {"expr": args.expr, "convention": args.convention, "measure": args.measure}
-        _emit(json.dumps(header | payload))
-    elif args.format == "csv":
-        _emit(_csv_text(rows))
-    else:
-        _emit("\n".join(lines))
+    if args.measure == "ex":
+        payload, rows, lines = one(fmt(evaluate(position, args.convention, memo=memo).ex))
+    elif args.measure == "score":
+        payload, rows, lines = one(fmt(evaluate(position, SCORING, memo=memo).ex))
+    elif args.measure == "outcome":
+        payload, rows, lines = one(outcome(position, args.convention, memo=memo))
+    elif args.measure == "index":
+        prof = guarantee_profile(position, args.convention, memo=memo)
+        ell, arr = fmt(prof.ell), fmt(prof.arr)
+        payload = {"ell": ell, "arr": arr}
+        rows = [["ell", "arr"], [ell, arr]]
+        lines = [f"[{ell}, {arr}]"]
+    elif args.measure == "strategies":
+        report = evaluate(position, args.convention, memo=memo)
+        value = fmt(report.ex)
+        left = {l: fmt(p) for l, p in zip(report.row_labels, report.left_mix)}
+        right = {l: fmt(p) for l, p in zip(report.col_labels, report.right_mix)}
+        payload = {"value": value, "left_mix": left, "right_mix": right}
+        rows = [["kind", "label", "value"], ["value", "", value]]
+        rows += [["left", l, p] for l, p in left.items()]
+        rows += [["right", l, p] for l, p in right.items()]
+        lines = [
+            f"value {value}",
+            "left  " + "  ".join(f"{l}:{p}" for l, p in left.items()),
+            "right " + "  ".join(f"{l}:{p}" for l, p in right.items()),
+        ]
+    else:  # matrix
+        report = evaluate(position, args.convention, memo=memo)
+        ex = [[fmt(v) for v in row] for row in report.values]
+        payload = {"rows": list(report.row_labels), "cols": list(report.col_labels), "ex": ex}
+        body = list(zip(report.row_labels, ex))
+        rows = [[""] + payload["cols"]] + [[r] + vals for r, vals in body]
+        width = max([len(r) for r in report.row_labels] + [1])
+        lines = [" " * (width + 1) + "  ".join(report.col_labels)]
+        lines += [f"{r:<{width}}  " + "  ".join(vals) for r, vals in body]
+    header = {"expr": args.expr, "convention": args.convention, "measure": args.measure}
+    _write(args.format, header | payload, rows, lines)
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    with _parse_errors(args.ruleset):
-        tree = parse(f"{args.ruleset}(0)")
-        if not isinstance(tree, SqExpr):
-            sys.stderr.write("table supports the subtraction-strip family only, e.g. sq{1}{2}\n")
-            return EXIT_PARSE
-        positions = [
-            to_position(SqExpr(tree.left, tree.right, n, tree.primed))
-            for n in range(args.n_max + 1)
-        ]
-
+    family = parse_position(f"{args.ruleset}(0)")
+    if not isinstance(family, SqPosition):
+        sys.stderr.write("table supports the subtraction-strip family only, e.g. sq{1}{2}\n")
+        return EXIT_PARSE
     memo = Memo()
     fmt = lambda fr: _fmt_rational(fr, args.decimal)
-    rows = []
-    for n, position in enumerate(positions):
+    records = []
+    for n in range(args.n_max + 1):
+        position = dataclasses.replace(family, n=n)
         report = evaluate(position, NORMAL, memo=memo)
         prof = guarantee_profile(position, NORMAL, memo=memo)
-        rows.append({"n": n, "ex": fmt(report.ex), "ell": fmt(prof.ell), "arr": fmt(prof.arr)})
-
-    if args.format == "json":
-        _emit(json.dumps({"ruleset": args.ruleset, "rows": rows}))
-    elif args.format == "csv":
-        _emit(_csv_text([["n", "ex", "ell", "arr"]] + [[str(r["n"]), r["ex"], r["ell"], r["arr"]] for r in rows]))
-    else:
-        _emit("n  ex  ell  arr")
-        for r in rows:
-            _emit(f"{r['n']}  {r['ex']}  {r['ell']}  {r['arr']}")
+        records.append({"n": n, "ex": fmt(report.ex), "ell": fmt(prof.ell), "arr": fmt(prof.arr)})
+    rows = [["n", "ex", "ell", "arr"]]
+    rows += [[str(r["n"]), r["ex"], r["ell"], r["arr"]] for r in records]
+    payload = {"ruleset": args.ruleset, "rows": records}
+    _write(args.format, payload, rows, ["  ".join(r) for r in rows])
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     records = verify_mod.run_suite(args.suite)
     failed = sum(1 for r in records if r["status"] != "pass")
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "checks": records,
-                    "passed": len(records) - failed,
-                    "failed": failed,
-                }
-            )
-        )
-    else:
-        for r in records:
-            _emit(f"[{r['status'].upper():5s}] {r['id']}: expected {r['expected']}, got {r['actual']}")
-        _emit(f"{len(records) - failed}/{len(records)} checks passed")
+    passed = len(records) - failed
+    payload = {"suite": args.suite, "checks": records, "passed": passed, "failed": failed}
+    lines = [
+        f"[{r['status'].upper():5s}] {r['id']}: expected {r['expected']}, got {r['actual']}"
+        for r in records
+    ]
+    _write(args.format, payload, None, lines + [f"{passed}/{len(records)} checks passed"])
     return EXIT_VERIFY if failed else EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    tree, position = _parse_expr(args.expr)
-    if isinstance(tree, SumExpr):
+    position = parse_position(args.expr)
+    if isinstance(position, SumPosition):
         sys.stderr.write(
             "refusing to reduce a sum: reduction is value-preserving in isolation "
             "but unsound inside sums\n"
         )
         return EXIT_PARSE
-
     memo = Memo()
-    with _evaluation_errors():
-        reduced = reduce_game(position, args.convention, memo=memo)
-        value = evaluate(reduced, args.convention, memo=memo).ex
-    _emit(render_position(reduced))
-    _emit(f"ex {value}")
-    _emit("note: reduced games are interchangeable in isolation only; summing reduced")
-    _emit("components can change the value of the sum")
+    reduced = reduce_game(position, args.convention, memo=memo)
+    value = evaluate(reduced, args.convention, memo=memo).ex
+    lines = [
+        render_position(reduced),
+        f"ex {value}",
+        "note: reduced games are interchangeable in isolation only; summing reduced",
+        "components can change the value of the sum",
+    ]
+    _write("text", None, None, lines)
     return EXIT_OK
 
 
@@ -264,12 +208,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place a failure becomes an exit code.
+
+    A syntax error prints a caret under the command's text, the expression
+    or, for ``table``, the family.  ``BadCordonSpec``, ``RecursionError`` and
+    other ``SimulgameError``s still propagate: the benchmark's known-crash
+    test pins ``hb cordon(0; )`` and ``sq{1}{2}(1500)`` as failures.  ROADMAP
+    item 4 adds them to this handler once that pin changes.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Exit as exc:
-        (code,) = exc.args
-        return code
+    except GameSyntaxError as exc:
+        text = args.ruleset if args.command == "table" else args.expr
+        offset = min(exc.offset, len(text))
+        sys.stderr.write(f"parse error: {exc}\n    {text}\n    {' ' * offset}^\n")
+        return EXIT_PARSE
+    except (BadLiteral, UnknownRuleset) as exc:
+        sys.stderr.write(f"parse error: {exc}\n")
+        return EXIT_PARSE
+    except (LoopyGame, SizeLimit) as exc:
+        sys.stderr.write(f"evaluation error: {exc}\n")
+        return EXIT_EVAL
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import analysis, matgame, oracle
 from .engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile, outcome
-from .errors import SizeLimit
+from .errors import BadStalk, SizeLimit
 from .gexpr import parse_position
 from .position import v_a
 from .rulesets import clobber_one_x_strip, hb_cordon, hb_stalk, sq
@@ -260,7 +260,7 @@ def build_checks(memo: Memo) -> list[Check]:
         for colors in _all_stalks(7):
             try:
                 want = analysis.stalk_score_formula(colors)
-            except Exception:
+            except BadStalk:
                 continue
             got = evaluate(hb_stalk(colors), SCORING, memo=memo).ex
             if got != want:

@@ -1,12 +1,14 @@
 """CLI behaviour: measures, formats, exit codes, determinism."""
 
 import json
+import re
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from simulgame import cli
-from simulgame.errors import LoopyGame
+from simulgame import analysis, cli
+from simulgame.errors import LoopyGame, SizeLimit
 from simulgame.verify import ACCEPTANCE_POSITIONS
 
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "cli-schema.json"
@@ -70,6 +72,35 @@ def test_eval_decimal_rounding(capsys):
     assert out.strip() == "0.25"
     code, out, _ = run(capsys, "eval", "s(0)", "--decimal", "3")
     assert out.strip() == "0.000"
+
+
+def test_eval_decimal_zero_prints_plain_digits(capsys):
+    code, out, _ = run(capsys, "eval", "s(0)", "--decimal", "8")
+    assert code == 0 and out == "0.00000000\n"
+    code, out, _ = run(capsys, "eval", "s(0)", "--decimal", "8", "--format", "json")
+    value = json.loads(out)["value"]
+    rational = json.loads(SCHEMA.read_text())["$defs"]["rational"]["pattern"]
+    assert value == "0.00000000" and re.search(rational, value)
+
+
+def test_decimal_beyond_sixty_digits(capsys):
+    code, out, _ = run(capsys, "eval", "sq{1}{2}(3)", "--decimal", "70")
+    assert code == 0 and out == "0.5" + "0" * 69 + "\n"
+    code, out, _ = run(capsys, "table", "sq{1}{2}", "--n-max", "2", "--decimal", "70")
+    assert code == 0
+    rows = [line.split("  ") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    assert all(len(v.split(".")[1]) == 70 for row in rows for v in row[1:])
+
+
+def test_fmt_rational_rounds_exactly():
+    # Rounding through a 60-digit decimal would give 2 and 0.2 for the first
+    # two: the tiny terms decide the result only when rounding is exact.
+    assert cli._fmt_rational(F(3, 2) - F(1, 10**65), 0) == "1"
+    assert cli._fmt_rational(F(1, 4) + F(1, 10**70), 1) == "0.3"
+    assert cli._fmt_rational(F(-1, 2), 0) == "0"
+    assert cli._fmt_rational(F(-1, 2), 2) == "-0.50"
+    assert cli._fmt_rational(F(-1, 3), 3) == "-0.333"
 
 
 def test_eval_csv(capsys):
@@ -161,6 +192,30 @@ def test_eval_evaluation_error_exit_3(capsys, monkeypatch):
     assert code == 3 and "evaluation error" in err
 
 
+def test_table_evaluation_error_exit_3(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise LoopyGame("cycle")
+
+    monkeypatch.setattr(cli, "evaluate", boom)
+    code, out, err = run(capsys, "table", "sq{1}{2}", "--n-max", "3")
+    assert code == 3 and out == "" and err == "evaluation error: cycle\n"
+
+
+def test_reduce_size_limit_exit_3(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise SizeLimit("too big")
+
+    monkeypatch.setattr(cli, "reduce_game", boom)
+    code, out, err = run(capsys, "reduce", "s(3)")
+    assert code == 3 and out == "" and err == "evaluation error: too big\n"
+
+
+def test_table_syntax_error_caret_under_family(capsys):
+    code, out, err = run(capsys, "table", "sq{1}{2")
+    assert code == 2 and out == ""
+    assert err.splitlines()[1:] == ["    sq{1}{2", "           ^"]
+
+
 def test_table_values(capsys):
     code, out, _ = run(capsys, "table", "sq{1}{2}", "--n-max", "5", "--format", "csv")
     assert code == 0
@@ -239,6 +294,17 @@ def test_verify_records_in_manifest_order(capsys):
     _, first, _ = run(capsys, "verify", "paper", "--format", "json")
     _, second, _ = run(capsys, "verify", "paper", "--format", "json")
     assert first == second
+
+
+def test_verify_reports_a_failing_stalk_formula_as_error(capsys, monkeypatch):
+    def boom(colors):
+        raise RuntimeError("formula bug")
+
+    monkeypatch.setattr(analysis, "stalk_score_formula", boom)
+    _, out, _ = run(capsys, "verify", "paper", "--format", "json")
+    checks = {r["id"]: r for r in json.loads(out)["checks"]}
+    assert checks["hb-stalk-theorem-upto-7"]["status"] == "error"
+    assert checks["hb-stalk-theorem-upto-7"]["actual"] == "RuntimeError: formula bug"
 
 
 def test_reduce_terminal_unchanged(capsys):
