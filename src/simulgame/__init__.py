@@ -26,7 +26,7 @@ from .engine import (
     guarantee_profile,
     outcome,
 )
-from .gexpr import parse, parse_position, render, render_position, to_position
+from .gexpr import parse, render_position
 from .matgame import (
     Solution,
     eliminate_dominated,

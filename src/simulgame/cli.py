@@ -29,7 +29,7 @@ from .errors import (
     SizeLimit,
     UnknownRuleset,
 )
-from .gexpr import parse_position, render_position
+from .gexpr import parse, render_position
 from .rulesets import SqPosition
 from .sums import SumPosition
 
@@ -74,7 +74,7 @@ def _write(fmt: str, payload, rows, lines) -> None:
 
 def cmd_eval(args) -> int:
     """Each measure builds its JSON payload, CSV rows and text lines; the format picks one."""
-    position = parse_position(args.expr)
+    position = parse(args.expr)
     memo = Memo()
     fmt = lambda fr: _fmt_rational(fr, args.decimal)
     one = lambda value: ({"value": value}, [["measure", "value"], [args.measure, value]], [value])
@@ -119,7 +119,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
-    family = parse_position(f"{args.ruleset}(0)")
+    family = parse(f"{args.ruleset}(0)")
     if not isinstance(family, SqPosition):
         sys.stderr.write("table supports the subtraction-strip family only, e.g. sq{1}{2}\n")
         return EXIT_PARSE
@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    position = parse_position(args.expr)
+    position = parse(args.expr)
     if isinstance(position, SumPosition):
         sys.stderr.write(
             "refusing to reduce a sum: reduction is value-preserving in isolation "

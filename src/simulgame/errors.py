@@ -42,7 +42,7 @@ class DimensionMismatch(SimulgameError):
 
 
 class BadLiteral(SimulgameError):
-    """A parsed literal cannot be lowered to a position."""
+    """A literal's builder rejected its parameters."""
 
 
 class GameSyntaxError(SimulgameError):

@@ -5,26 +5,35 @@
     literal := sq | hb | cl | explicit | score | outcome
     sq      := "sq" "'"? '{' ints '}' '{' ints '}' '(' int ')'
     hb      := "hb" '[' colours ']'
-             | "hb" "cordon" '(' int ';' leafspecs ')'
+             | "hb" "cordon" '(' int ';' [leaf (',' leaf)*] ')'
              | "hb" ':' name
     cl      := "cl" '[' cells ']' | "cl" ':' 'K'int | "cl" ':' name
-    explicit:= 'x' '{' 'L:' list '|' 'R:' list '|' 'LR:' grid '}'
+    explicit:= 'x' '{' 'L:' list '|' 'R:' list '|' 'LR:' '[' [list (',' list)*] ']' '}'
+    list    := '[' [expr (',' expr)*] ']'
+    ints    := int (',' int)*         leaf := int colour
     score   := 's' '(' int ')'       outcome := 'o' '(' L|D|R ')'
 
 All sum operators share one precedence level; mixing two kinds at one
-level needs parentheses.  ``parse`` builds a tree, ``render`` writes it
-back (a fixpoint of parse), ``to_position`` lowers it onto the engine's
-position types.  Each builder checks its own literal; lowering maps a
-builder's ``BadParameters`` to ``BadLiteral``.
+level needs parentheses.  Lists take exactly one comma between items and
+none after the last; only ``ints`` must be nonempty.
+
+``parse`` builds the position as it reads: each literal goes to its
+builder and each sum to ``SumPosition``, so the builders alone check
+literals.  Errors come out in one order.  A syntax error anywhere in the
+text is reported before a bad literal, and among bad literals the first
+one read wins.  A builder's ``BadParameters`` becomes ``BadLiteral``; its
+other errors (``BadCordonSpec``, ``UnknownRuleset``) pass through.
+``render_position`` writes a position back as text.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import BadLiteral, BadParameters, GameSyntaxError, MixedOperators, UnknownRuleset
-from .position import ExplicitGame, ScoreLiteral, outcome_literal, score
+from .errors import (
+    BadLiteral, BadParameters, GameSyntaxError, MixedOperators, SimulgameError, UnknownRuleset
+)
+from .position import ExplicitGame, Position, ScoreLiteral, outcome_literal, require_position, score
 from .rulesets import (
     BUILTIN_BOARDS,
     ClobberPosition,
@@ -40,67 +49,6 @@ from .rulesets import (
 from .sums import SumPosition
 
 OPS = ("+", "^", "v")
-
-
-# -- expression tree ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SumExpr:
-    op: str
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class SqExpr:
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    n: int
-    primed: bool
-
-
-@dataclass(frozen=True)
-class HbStalkExpr:
-    colors: str
-
-
-@dataclass(frozen=True)
-class HbCordonExpr:
-    n: int
-    leaves: tuple[tuple[int, str], ...]
-
-
-@dataclass(frozen=True)
-class ClStripExpr:
-    cells: str
-
-
-@dataclass(frozen=True)
-class ClCompleteExpr:
-    n: int
-
-
-@dataclass(frozen=True)
-class BuiltinExpr:
-    family: str
-    name: str
-
-
-@dataclass(frozen=True)
-class ExplicitExpr:
-    lefts: tuple
-    rights: tuple
-    table: tuple
-
-
-@dataclass(frozen=True)
-class ScoreExpr:
-    value: int
-
-
-@dataclass(frozen=True)
-class OutcomeExpr:
-    which: str
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -133,9 +81,9 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.error = None
 
     def peek(self):
         return self.tokens[self.pos]
@@ -174,32 +122,52 @@ class _Parser:
         self.advance()
         return text
 
+    def build(self, builder, *args) -> Position:
+        """``builder(*args)``; if it raises, keep the first error and go on
+        reading with a placeholder, so that a later syntax error still wins."""
+        try:
+            return builder(*args)
+        except SimulgameError as exc:
+            if self.error is None:
+                self.error = exc
+            return score(0)
+
+    def more_items(self, items, close) -> bool:
+        """Whether an item follows ``items`` in a list ended by ``close``, with
+        exactly one comma between two items.  The caller reads the item in its
+        own frame, so a list adds no stack depth to deep nesting."""
+        text = self.peek()[1]
+        if text == close:
+            self.advance()
+            return False
+        if items:
+            if text != ",":
+                self.fail({",", close})
+            self.advance()
+        return True
+
     # grammar ---------------------------------------------------------------
 
-    def expr(self):
+    def expr(self) -> Position:
         terms = [self.term()]
         op = None
-        while True:
-            kind, text, offset = self.peek()
-            if text in OPS:
-                if op is None:
-                    op = text
-                elif text != op:
-                    raise MixedOperators(
-                        f"cannot mix {op!r} and {text!r} at one level "
-                        f"(offset {offset}); parenthesize",
-                        offset,
-                        {op},
-                    )
-                self.advance()
-                terms.append(self.term())
-            else:
-                break
+        while self.peek()[1] in OPS:
+            kind, text, offset = self.advance()
+            if op is None:
+                op = text
+            elif text != op:
+                raise MixedOperators(
+                    f"cannot mix {op!r} and {text!r} at one level "
+                    f"(offset {offset}); parenthesize",
+                    offset,
+                    {op},
+                )
+            terms.append(self.term())
         if op is None:
             return terms[0]
-        return SumExpr(op, tuple(terms))
+        return SumPosition(op, terms)
 
-    def term(self):
+    def term(self) -> Position:
         kind, text, offset = self.peek()
         if text == "(":
             self.advance()
@@ -220,7 +188,7 @@ class _Parser:
                 self.expect("(")
                 value = self.expect_int()
                 self.expect(")")
-                return ScoreExpr(value)
+                return score(value)
             if text == "o":
                 self.advance()
                 self.expect("(")
@@ -228,7 +196,7 @@ class _Parser:
                 self.expect(")")
                 if which not in ("L", "D", "R"):
                     self.fail({"L", "D", "R"})
-                return OutcomeExpr(which)
+                return outcome_literal(which)
         self.fail({"sq", "hb", "cl", "x", "s", "o", "("})
 
     def int_set(self) -> tuple[int, ...]:
@@ -240,7 +208,7 @@ class _Parser:
         self.expect("}")
         return tuple(values)
 
-    def sq_literal(self):
+    def sq_literal(self) -> Position:
         self.expect("sq")
         primed = False
         if self.peek()[1] == "'":
@@ -251,52 +219,47 @@ class _Parser:
         self.expect("(")
         n = self.expect_int()
         self.expect(")")
-        return SqExpr(left, right, n, primed)
+        return self.build(sq, left, right, n, primed)
 
-    def hb_literal(self):
+    def hb_literal(self) -> Position:
         self.expect("hb")
         kind, text, offset = self.peek()
         if text == "[":
             self.advance()
             colors = "" if self.peek()[1] == "]" else self.expect_word()
             self.expect("]")
-            return HbStalkExpr(colors)
+            return self.build(hb_stalk, colors)
         if text == "cordon":
             self.advance()
             self.expect("(")
             n = self.expect_int()
             self.expect(";")
             leaves = []
-            while self.peek()[1] != ")":
-                idx = self.expect_int()
-                color = self.expect_word()
-                leaves.append((idx, color))
-                if self.peek()[1] == ",":
-                    self.advance()
-            self.expect(")")
-            return HbCordonExpr(n, tuple(leaves))
+            while self.more_items(leaves, ")"):
+                leaves.append((self.expect_int(), self.expect_word()))
+            return self.build(hb_cordon, n, leaves)
         if text == ":":
             self.advance()
-            return BuiltinExpr("hb", self.expect_word())
+            return self.build(_builtin, "hb", self.expect_word())
         self.fail({"[", "cordon", ":"})
 
-    def cl_literal(self):
+    def cl_literal(self) -> Position:
         self.expect("cl")
         kind, text, offset = self.peek()
         if text == "[":
             self.advance()
             cells = "" if self.peek()[1] == "]" else self.expect_word()
             self.expect("]")
-            return ClStripExpr(cells)
+            return self.build(clobber_strip, cells)
         if text == ":":
             self.advance()
             name = self.expect_word()
             if re.fullmatch(r"K\d+", name):
-                return ClCompleteExpr(int(name[1:]))
-            return BuiltinExpr("cl", name)
+                return self.build(clobber_complete, int(name[1:]))
+            return self.build(_builtin, "cl", name)
         self.fail({"[", ":"})
 
-    def explicit_literal(self):
+    def explicit_literal(self) -> Position:
         self.expect("x")
         self.expect("{")
         self.expect("L")
@@ -311,116 +274,46 @@ class _Parser:
         self.expect(":")
         self.expect("[")
         table = []
-        while self.peek()[1] != "]":
+        while self.more_items(table, "]"):
             table.append(self.expr_list())
-            if self.peek()[1] == ",":
-                self.advance()
-        self.expect("]")
         self.expect("}")
-        return ExplicitExpr(tuple(lefts), tuple(rights), tuple(table))
+        return self.build(ExplicitGame, lefts, rights, tuple(table))
 
     def expr_list(self) -> tuple:
         self.expect("[")
         items = []
-        while self.peek()[1] != "]":
+        while self.more_items(items, "]"):
             items.append(self.expr())
-            if self.peek()[1] == ",":
-                self.advance()
-        self.expect("]")
         return tuple(items)
 
 
-def parse(text: str):
-    """Parse expression text into a GameExpr tree."""
+def _builtin(family: str, name: str) -> Position:
+    builder = BUILTIN_BOARDS.get((family, name))
+    if builder is None:
+        raise UnknownRuleset(f"no builtin {family}:{name}")
+    return builder()
+
+
+def parse(text: str) -> Position:
+    """Read expression text into a Position, raising errors in the order
+    the module docstring gives."""
     parser = _Parser(text)
-    tree = parser.expr()
-    kind, tok, offset = parser.peek()
-    if kind != "eof":
+    position = parser.expr()
+    if parser.peek()[0] != "eof":
         parser.fail({"+", "^", "v", "end of input"})
-    return tree
+    if isinstance(parser.error, BadParameters):
+        raise BadLiteral(str(parser.error)) from parser.error
+    if parser.error is not None:
+        raise parser.error
+    return position
 
 
-def render(expr) -> str:
-    """Write a tree back to text; parse(render(t)) == t."""
-    if isinstance(expr, SumExpr):
-        parts = []
-        for term in expr.terms:
-            text = render(term)
-            if isinstance(term, SumExpr):
-                text = f"({text})"
-            parts.append(text)
-        return f" {expr.op} ".join(parts)
-    if isinstance(expr, SqExpr):
-        prime = "'" if expr.primed else ""
-        ls = ",".join(str(x) for x in expr.left)
-        rs = ",".join(str(x) for x in expr.right)
-        return f"sq{prime}{{{ls}}}{{{rs}}}({expr.n})"
-    if isinstance(expr, HbStalkExpr):
-        return f"hb[{expr.colors}]"
-    if isinstance(expr, HbCordonExpr):
-        leaves = ",".join(f"{i}{c}" for i, c in expr.leaves)
-        return f"hb cordon({expr.n}; {leaves})"
-    if isinstance(expr, ClStripExpr):
-        return f"cl[{expr.cells}]"
-    if isinstance(expr, ClCompleteExpr):
-        return f"cl:K{expr.n}"
-    if isinstance(expr, BuiltinExpr):
-        return f"{expr.family}:{expr.name}"
-    if isinstance(expr, ExplicitExpr):
-        ls = ",".join(render(g) for g in expr.lefts)
-        rs = ",".join(render(g) for g in expr.rights)
-        ts = ",".join("[" + ",".join(render(g) for g in row) + "]" for row in expr.table)
-        return f"x{{L:[{ls}] | R:[{rs}] | LR:[{ts}]}}"
-    if isinstance(expr, ScoreExpr):
-        return f"s({expr.value})"
-    if isinstance(expr, OutcomeExpr):
-        return f"o({expr.which})"
-    raise BadLiteral(f"cannot render {expr!r}")
-
-
-def to_position(expr):
-    """Lower a tree to a Position; a builder's BadParameters becomes
-    BadLiteral.  Other errors pass through: the benchmark's known-crash test
-    requires ``hb cordon(0; )`` to end in BadCordonSpec."""
-    try:
-        return _lower(expr)
-    except BadParameters as exc:
-        raise BadLiteral(str(exc)) from exc
-
-
-def _lower(expr):
-    if isinstance(expr, SumExpr):
-        return SumPosition(expr.op, [_lower(t) for t in expr.terms])
-    if isinstance(expr, SqExpr):
-        return sq(expr.left, expr.right, expr.n, primed=expr.primed)
-    if isinstance(expr, HbStalkExpr):
-        return hb_stalk(expr.colors)
-    if isinstance(expr, HbCordonExpr):
-        return hb_cordon(expr.n, list(expr.leaves))
-    if isinstance(expr, ClStripExpr):
-        return clobber_strip(expr.cells)
-    if isinstance(expr, ClCompleteExpr):
-        return clobber_complete(expr.n)
-    if isinstance(expr, BuiltinExpr):
-        builder = BUILTIN_BOARDS.get((expr.family, expr.name))
-        if builder is None:
-            raise UnknownRuleset(f"no builtin {expr.family}:{expr.name}")
-        return builder()
-    if isinstance(expr, ExplicitExpr):
-        lefts = tuple(_lower(g) for g in expr.lefts)
-        rights = tuple(_lower(g) for g in expr.rights)
-        table = tuple(tuple(_lower(g) for g in row) for row in expr.table)
-        return ExplicitGame(lefts, rights, table)
-    if isinstance(expr, ScoreExpr):
-        return score(expr.value)
-    if isinstance(expr, OutcomeExpr):
-        return outcome_literal(expr.which)
-    raise BadLiteral(f"cannot lower {expr!r}")
-
-
-def parse_position(text: str):
-    """Parse and lower in one step."""
-    return to_position(parse(text))
+def to_position(p) -> Position:
+    """``p`` itself, checked to be a Position; ``parse`` already returns one.
+    Kept only because ``perfbench/run.py`` and ``perfbench/references.py`` call
+    ``to_position(parse(text))`` and ``perfbench/tracing.py`` wraps both names:
+    deleting it breaks ``pytest perfbench`` and ``--trace 1`` (ROADMAP item 1)."""
+    return require_position(p)
 
 
 def render_position(p) -> str:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import analysis, matgame, oracle
 from .engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile, outcome
 from .errors import BadStalk, SizeLimit
-from .gexpr import parse_position
+from .gexpr import parse
 from .position import v_a
 from .rulesets import clobber_one_x_strip, hb_cordon, hb_stalk, sq
 from .sums import continued_conjunctive
@@ -141,7 +141,7 @@ def build_checks(memo: Memo) -> list[Check]:
         checks.append(Check(id, suite, _fmt(expected), fn, known_discrepancy))
 
     def ex_of(text, convention=NORMAL):
-        return evaluate(parse_position(text), convention, memo=memo).ex
+        return evaluate(parse(text), convention, memo=memo).ex
 
     def value_check(id, text, expected, convention=NORMAL, known_discrepancy=False):
         add(
@@ -180,7 +180,7 @@ def build_checks(memo: Memo) -> list[Check]:
     value_check("sq14-ex4", "sq'{1,4}{2}(4)", F(0))
 
     def cell_values(text, convention=NORMAL):
-        report = evaluate(parse_position(text), convention, memo=memo)
+        report = evaluate(parse(text), convention, memo=memo)
         return _fmt([[str(v) for v in row] for row in report.values])
 
     add(
@@ -242,10 +242,10 @@ def build_checks(memo: Memo) -> list[Check]:
     add("clobber-truncation-limit", True, truncation)
 
     # Hackenbush.
-    add("hb-two-blue-va", 2, lambda: _fmt(v_a(parse_position("hb[BB]"))))
+    add("hb-two-blue-va", 2, lambda: _fmt(v_a(parse("hb[BB]"))))
 
     def cell_outcomes(text):
-        cells = parse_position(text).move_matrix().cells
+        cells = parse(text).move_matrix().cells
         return _fmt([[outcome(cell, NORMAL, memo=memo) for cell in row] for row in cells])
 
     add("fig5G-outcomes", [["D", "L"], ["L", "D"]], lambda: cell_outcomes("hb:fig5G"))
@@ -322,7 +322,7 @@ def build_checks(memo: Memo) -> list[Check]:
         add(
             f"table5-normal-{'plus' if op == '+' else 'conj' if op == '^' else 'cont'}",
             out,
-            lambda text=text: outcome(parse_position(text), NORMAL, memo=memo),
+            lambda text=text: outcome(parse(text), NORMAL, memo=memo),
         )
     value_check(
         "table5-scoring-plus",
@@ -409,7 +409,7 @@ def build_checks(memo: Memo) -> list[Check]:
     add("cont-index-product-100", True, index_product, suite="properties")
 
     def index_bounds():
-        positions = [parse_position(text) for text, _ in ACCEPTANCE_POSITIONS]
+        positions = [parse(text) for text, _ in ACCEPTANCE_POSITIONS]
         for p in positions:
             prof = guarantee_profile(p, NORMAL, memo=memo)
             if not (0 <= prof.ell and 0 <= prof.arr and prof.ell + prof.arr <= 1):
@@ -421,7 +421,7 @@ def build_checks(memo: Memo) -> list[Check]:
     def oracle_sweep():
         checked = 0
         for text, conventions in ACCEPTANCE_POSITIONS:
-            p = parse_position(text)
+            p = parse(text)
             for convention in conventions:
                 try:
                     got = oracle.brute_ex(p, convention)
@@ -435,7 +435,7 @@ def build_checks(memo: Memo) -> list[Check]:
     add("oracle-agreement", True, oracle_sweep, suite="properties")
 
     def draw_propagation():
-        draws = [hb_stalk("BR"), sq({1}, {2}, 2), parse_position("cl[OXO]")]
+        draws = [hb_stalk("BR"), sq({1}, {2}, 2), parse("cl[OXO]")]
         others = [sq({1}, {2}, n) for n in range(6)] + [hb_stalk("BB"), hb_stalk("RR")]
         for d in draws:
             for g in others:

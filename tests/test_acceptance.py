@@ -18,7 +18,7 @@ from fractions import Fraction
 from simulgame import analysis, matgame
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile, outcome
 from simulgame.errors import SizeLimit
-from simulgame.gexpr import parse_position
+from simulgame.gexpr import parse
 from simulgame.oracle import brute_ex
 from simulgame.position import v_a
 from simulgame.rulesets import (
@@ -53,7 +53,7 @@ def check(criterion: str, ok: bool, detail: str = ""):
 
 
 def ex(text: str, convention: str = NORMAL) -> Fraction:
-    return evaluate(parse_position(text), convention, memo=MEMO).ex
+    return evaluate(parse(text), convention, memo=MEMO).ex
 
 
 def manifest_check(check_id: str):
@@ -116,7 +116,7 @@ def test_c03_published_conjunction_of_five_and_six():
         return F(int(left) - int(right))
 
     text = "sq'{1}{2}(5) ^ sq'{1}{2}(6)"
-    cells = [[derived(succ) for succ in row] for row in parse_position(text).move_matrix().cells]
+    cells = [[derived(succ) for succ in row] for row in parse(text).move_matrix().cells]
     exact = matgame.support_enumeration_value(cells)
     lo, hi = matgame.fictitious_play(cells, 400)
     got = ex(text)
@@ -132,7 +132,7 @@ def test_c03_published_conjunction_of_five_and_six():
 
 
 def test_c04_multi_amount_primed_strip():
-    pos = parse_position("sq'{1,4}{2}(4)")
+    pos = parse("sq'{1,4}{2}(4)")
     got_ex = evaluate(pos, NORMAL, memo=MEMO).ex
     mm = pos.move_matrix()
     values = [[evaluate(c, NORMAL, memo=MEMO).ex for c in row] for row in mm.cells]
@@ -233,7 +233,7 @@ def test_c10_hackenbush_battery():
         problems.append("two-edge move count")
 
     def matrices(expr):
-        pos = parse_position(expr)
+        pos = parse(expr)
         mm = pos.move_matrix()
         outs = [[outcome(c, NORMAL, memo=MEMO) for c in row] for row in mm.cells]
         exs = [[evaluate(c, NORMAL, memo=MEMO).ex for c in row] for row in mm.cells]
@@ -286,8 +286,8 @@ def test_c11_mixed_ruleset_table():
     for op in ("+", "^", "v"):
         text = MIXED_TABLE.format(op, op)
         got[op] = (
-            outcome(parse_position(text), NORMAL, memo=MEMO),
-            evaluate(parse_position(text), SCORING, memo=MEMO).ex,
+            outcome(parse(text), NORMAL, memo=MEMO),
+            evaluate(parse(text), SCORING, memo=MEMO).ex,
         )
     ok = (
         got["+"][0] == "R"
@@ -307,7 +307,7 @@ def test_c11_published_disjunctive_scoring_value():
     check_id = "table5-scoring-plus"
     figure = published(check_id)
     text = MIXED_TABLE.format("+", "+")
-    root = parse_position(text)
+    root = parse(text)
     mm = root.move_matrix()
     cells = [[brute_ex(succ, SCORING) for succ in row] for row in mm.cells]
     reserve = next(i for i, c in enumerate(root.components) if c.ruleset_tag == "hb")
@@ -358,7 +358,7 @@ def test_c13_oracle_certification():
     problems = []
     checked = 0
     for text, conventions in ACCEPTANCE_POSITIONS:
-        position = parse_position(text)
+        position = parse(text)
         for convention in conventions:
             try:
                 got = brute_ex(position, convention)

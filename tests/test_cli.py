@@ -138,6 +138,39 @@ def test_eval_builder_rejection_exit_2(capsys):
     assert err == "parse error: complete-graph clobber needs n >= 2\n"
 
 
+# A syntax error anywhere wins over a bad literal, and the first bad literal
+# read wins over later ones.
+def test_eval_syntax_error_before_bad_literal(capsys):
+    code, out, err = run(capsys, "eval", "cl:K1 +")
+    assert code == 2 and out == "" and "offset 7" in err
+    assert err.splitlines()[1:] == ["    cl:K1 +", "    " + " " * 7 + "^"]
+    code, out, err = run(capsys, "eval", "hb cordon(0; ) +")
+    assert code == 2 and out == "" and "offset 16" in err
+    code, out, err = run(capsys, "eval", "cl:K1 + s(1) ^ s(2)")
+    assert code == 2 and "parenthesize" in err
+
+
+def test_eval_first_bad_literal_wins(capsys):
+    code, out, err = run(capsys, "eval", "sq{0}{2}(3) + cl:K1")
+    assert code == 2 and out == ""
+    assert err == "parse error: subtraction amounts must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "x{L:[s(0) s(1)] | R:[s(0)] | LR:[[s(0)] [s(0)]]}",
+        "x{L:[s(0),] | R:[s(0)] | LR:[[s(0)]]}",
+        "x{L:[s(0), s(1)] | R:[s(0)] | LR:[[s(0)] [s(0)]]}",
+        "hb cordon(3; 1B 2R)",
+    ],
+)
+def test_eval_lists_take_one_comma_between_items(capsys, expr):
+    code, out, err = run(capsys, "eval", expr)
+    assert code == 2 and out == "" and err.startswith("parse error: ")
+    assert err.splitlines()[-1].strip() == "^"
+
+
 # Exact stdout of every measure in text and CSV, for a sum with a mixed root
 # and for a terminal position.
 LAYOUT = {
@@ -237,7 +270,7 @@ def test_table_limit_row(capsys):
 def test_table_rejects_other_families(capsys):
     code, _, err = run(capsys, "table", "hb[BR]")
     assert code == 2
-    # Strip families that parse but do not lower to a position.
+    # Strip families that parse but that the strip builder rejects.
     for family in ("sq{0}{2}", "sq{1}{1,0}"):
         code, out, err = run(capsys, "table", family)
         assert code == 2 and out == "" and err.startswith("parse error: ")

@@ -20,7 +20,7 @@ from simulgame.engine import (
     outcome,
 )
 from simulgame.errors import LoopyGame, UnknownRuleset
-from simulgame.gexpr import parse_position
+from simulgame.gexpr import parse
 from simulgame.matgame import game_value, saddle_value, support_enumeration_value
 from simulgame.position import Position, score
 from simulgame.rulesets import (
@@ -46,7 +46,7 @@ def test_terminal_payoffs():
         "s(-2)": ((0, 0, 0), (-2, 0, -1)),
     }
     for text, by_convention in expected.items():
-        position = parse_position(text)
+        position = parse(text)
         for convention, payoffs in zip((NORMAL, SCORING), by_convention):
             assert _terminal_payoff(position, convention, (None, ELL, ARR)) == payoffs
             for transform, payoff in zip((None, ELL, ARR), payoffs):
@@ -305,7 +305,7 @@ PRESOLVE_CASES = [
 def test_walk_sends_only_the_root_and_mixed_matrices_to_the_simplex(
     monkeypatch, text, matrices, mixed, entries, value
 ):
-    position = parse_position(text)
+    position = parse(text)
     every, reference, reference_entries = _solved_matrices(monkeypatch, position, False)
     solved, report, memo_entries = _solved_matrices(monkeypatch, position, True)
     assert len(every) == matrices and every[-1] == [list(row) for row in report.values]
@@ -359,7 +359,7 @@ def test_outcome_classification():
         ("s(0)", SCORING, "D"), ("o(R)", SCORING, "R"),
     ]
     for text, convention, expected in terminal_roots:
-        assert outcome(parse_position(text), convention, memo=memo) == expected
+        assert outcome(parse(text), convention, memo=memo) == expected
     for convention in (NORMAL, SCORING):
         assert outcome(won, convention, memo=memo) == "L"
         assert outcome(lost, convention, memo=memo) == "R"

@@ -68,11 +68,11 @@ def test_profile_agreement_with_engine():
 
 
 def test_mixed_table_profiles_match_oracle():
-    from simulgame.gexpr import parse_position
+    from simulgame.gexpr import parse
     from simulgame.verify import MIXED_TABLE
 
     for op in ("+", "^", "v"):
-        position = parse_position(MIXED_TABLE.format(op, op))
+        position = parse(MIXED_TABLE.format(op, op))
         ours = guarantee_profile(position, NORMAL, memo=MEMO)
         theirs = brute_profile(position, NORMAL)
         assert (ours.ell, ours.arr) == (theirs.ell, theirs.arr)

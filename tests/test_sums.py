@@ -392,17 +392,17 @@ def test_outcome_literals():
 def test_explicit_transcription_matches_graph_boards():
     # The two-stalk boards entered as explicit literals reproduce the same
     # outcome, value, and score matrices as the graph positions.
-    from simulgame.gexpr import parse_position
+    from simulgame.gexpr import parse
 
     blue1 = "x{L:[s(0)] | R:[] | LR:[]}"       # one Left move left
     blue2 = f"x{{L:[{blue1}] | R:[] | LR:[]}}"  # a two-move Left chain
     drawn = "x{L:[s(0)] | R:[s(0)] | LR:[[s(0)]]}"  # one forced exchange
-    g_literal = parse_position(
+    g_literal = parse(
         f"x{{L:[s(0),s(0)] | R:[s(0),s(0)] | "
         f"LR:[[{drawn},{blue1}],[{blue1},{drawn}]]}}"
     )
     two_blues = f"x{{L:[{blue1},{blue1}] | R:[] | LR:[]}}"
-    h_literal = parse_position(
+    h_literal = parse(
         f"x{{L:[s(0),s(0),s(0)] | R:[s(0)] | "
         f"LR:[[{blue2}],[{blue1}],[{two_blues}]]}}"
     )
@@ -415,5 +415,5 @@ def test_explicit_transcription_matches_graph_boards():
             [[evaluate(c, SCORING, memo=MEMO).ex for c in row] for row in mm.cells],
         )
 
-    assert matrices(g_literal) == matrices(parse_position("hb:fig5G"))
-    assert matrices(h_literal) == matrices(parse_position("hb:fig5H"))
+    assert matrices(g_literal) == matrices(parse("hb:fig5G"))
+    assert matrices(h_literal) == matrices(parse("hb:fig5H"))
