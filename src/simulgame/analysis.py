@@ -48,9 +48,9 @@ def reduce_game(p: Position, convention: str = NORMAL, *, memo: Memo | None = No
             _, keep_rows, keep_cols = eliminate_dominated(report.values)
             # Matrix rows and columns follow option order.
             cells = q.move_matrix().cells
-            left_options, right_options = q.left_options(), q.right_options()
-            lefts = tuple(reduce(left_options[i][1]) for i in keep_rows)
-            rights = tuple(reduce(right_options[j][1]) for j in keep_cols)
+            lo, ro = q.options(True), q.options(False)
+            lefts = tuple(reduce(lo[i][1]) for i in keep_rows)
+            rights = tuple(reduce(ro[j][1]) for j in keep_cols)
             table = tuple(tuple(reduce(cells[i][j]) for j in keep_cols) for i in keep_rows)
             out = ExplicitGame(lefts, rights, table)
         reduced[q] = out

@@ -70,22 +70,6 @@ class GuaranteeProfile:
     ell: Fraction
     arr: Fraction
 
-    @property
-    def left_forces_win(self) -> bool:
-        return self.ell == 1
-
-    @property
-    def right_forces_win(self) -> bool:
-        return self.arr == 1
-
-    @property
-    def left_cannot_win(self) -> bool:
-        return self.ell == 0
-
-    @property
-    def right_cannot_win(self) -> bool:
-        return self.arr == 0
-
 
 class Memo:
     """Value table keyed by (canonical key, convention, transform).

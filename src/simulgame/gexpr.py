@@ -14,7 +14,8 @@
     score   := 's' '(' int ')'       outcome := 'o' '(' L|D|R ')'
 
 All sum operators share one precedence level; mixing two kinds at one
-level needs parentheses.  Lists take exactly one comma between items and
+level needs parentheses.  Text nested more than ``MAX_NESTING`` levels
+deep is a syntax error.  Lists take exactly one comma between items and
 none after the last; only ``ints`` must be nonempty.
 
 ``parse`` builds the position as it reads: each literal goes to its
@@ -46,15 +47,19 @@ from .rulesets import (
     hb_stalk,
     sq,
 )
-from .sums import SumPosition
+from .sums import SUM_KINDS, SumPosition
 
-OPS = ("+", "^", "v")
+# The deepest nesting ``parse`` accepts: the top-level expression is one
+# level, and each parenthesis or list item opens one more.  The parser, and
+# the key, evaluation and rendering of an explicit game, recurse once per
+# level, so deeper text is a syntax error rather than a RecursionError.
+MAX_NESTING = 100
 
 
 # -- tokenizer ---------------------------------------------------------------
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>-?\d+)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+^{}()\[\]|:;,'])|(?P<bad>.))"
+    r"\s*(?:(?P<int>-?\d+)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[-+^{}()\[\]|:;,'])|(?P<bad>\S))"
 )
 
 
@@ -83,6 +88,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.error = None
 
     def peek(self):
@@ -149,9 +155,15 @@ class _Parser:
     # grammar ---------------------------------------------------------------
 
     def expr(self) -> Position:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            offset = self.peek()[2]
+            raise GameSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels at offset {offset}", offset
+            )
         terms = [self.term()]
         op = None
-        while self.peek()[1] in OPS:
+        while self.peek()[1] in SUM_KINDS:
             kind, text, offset = self.advance()
             if op is None:
                 op = text
@@ -163,9 +175,8 @@ class _Parser:
                     {op},
                 )
             terms.append(self.term())
-        if op is None:
-            return terms[0]
-        return SumPosition(op, terms)
+        self.depth -= 1
+        return terms[0] if op is None else SumPosition(op, terms)
 
     def term(self) -> Position:
         kind, text, offset = self.peek()
@@ -192,10 +203,11 @@ class _Parser:
             if text == "o":
                 self.advance()
                 self.expect("(")
-                which = self.expect_word()
-                self.expect(")")
+                which = self.peek()[1]
                 if which not in ("L", "D", "R"):
                     self.fail({"L", "D", "R"})
+                self.advance()
+                self.expect(")")
                 return outcome_literal(which)
         self.fail({"sq", "hb", "cl", "x", "s", "o", "("})
 
@@ -300,7 +312,7 @@ def parse(text: str) -> Position:
     parser = _Parser(text)
     position = parser.expr()
     if parser.peek()[0] != "eof":
-        parser.fail({"+", "^", "v", "end of input"})
+        parser.fail({*SUM_KINDS, "end of input"})
     if isinstance(parser.error, BadParameters):
         raise BadLiteral(str(parser.error)) from parser.error
     if parser.error is not None:

@@ -1,6 +1,7 @@
 """Position model shared by every ruleset and sum combinator.
 
-A position exposes its Left options, its Right options, and a private pair
+A position exposes one move rule, ``options(left)``, that gives Left's
+options when ``left`` is true and Right's otherwise, and a private pair
 rule ``_joint`` that resolves a (Left move, Right move) pair of their
 labels.  Legality is one rule for every position: a pair is legal exactly
 when each move is among its player's options.  ``move_matrix`` applies the
@@ -67,7 +68,8 @@ _PLAIN = {(lm, rm): Mobility(lm, rm, lm, rm) for lm in (False, True) for rm in (
 
 
 class Position:
-    """Base class: subclasses provide options and the text of a canonical key.
+    """Base class: subclasses provide ``options``, ``_joint``, ``_key_text``
+    and, optionally, the score hook ``_score``.
 
     Like the key, the mobility reading (who can move, and who still has a
     move when play stops) is read once, on first use, and kept on the
@@ -78,10 +80,8 @@ class Position:
 
     # Subclass API ---------------------------------------------------------
 
-    def left_options(self) -> tuple[tuple[str, "Position"], ...]:
-        raise NotImplementedError
-
-    def right_options(self) -> tuple[tuple[str, "Position"], ...]:
+    def options(self, left: bool) -> tuple[tuple[str, "Position"], ...]:
+        """Left's (label, successor) options if ``left``, else Right's."""
         raise NotImplementedError
 
     def _joint(self, left_label: str, right_label: str) -> "Position":
@@ -113,13 +113,7 @@ class Position:
 
     def _read_mobility(self) -> Mobility:
         """A plain position reads its own option lists; sums override this."""
-        return _PLAIN[bool(self.left_options()), bool(self.right_options())]
-
-    def has_left_option(self) -> bool:
-        return self._mobility().left
-
-    def has_right_option(self) -> bool:
-        return self._mobility().right
+        return _PLAIN[bool(self.options(True)), bool(self.options(False))]
 
     def is_terminal(self) -> bool:
         """Simultaneous option set empty: either player is out of moves."""
@@ -128,8 +122,8 @@ class Position:
 
     def move_matrix(self) -> MoveMatrix:
         """Also records the mobility reading from the option lists it builds."""
-        lo = self.left_options()
-        ro = self.right_options()
+        lo = self.options(True)
+        ro = self.options(False)
         if self._reading is None:
             object.__setattr__(self, "_reading", _PLAIN[bool(lo), bool(ro)])
         if not lo or not ro:
@@ -209,8 +203,7 @@ def _chain(p: Position, left: bool, table: dict) -> int:
     """Longest unilateral chain from p; ``table`` maps each child seen in
     this call to what a move into it adds (0 if it lets the opponent move)."""
     best = 0
-    options = p.left_options() if left else p.right_options()
-    for _, child in options:
+    for _, child in p.options(left):
         if child not in table:
             reading = child._mobility()
             blocked = reading.right if left else reading.left
@@ -227,10 +220,7 @@ class ScoreLiteral(Position):
 
     ruleset_tag = "score"
 
-    def left_options(self):
-        return ()
-
-    def right_options(self):
+    def options(self, left):
         return ()
 
     def _key_text(self) -> str:
@@ -264,11 +254,9 @@ class ExplicitGame(Position):
         elif self.table:
             raise BadParameters("LR grid must be empty when an option list is empty")
 
-    def left_options(self):
-        return tuple((f"L{i}", g) for i, g in enumerate(self.lefts))
-
-    def right_options(self):
-        return tuple((f"R{j}", g) for j, g in enumerate(self.rights))
+    def options(self, left):
+        side, games = ("L", self.lefts) if left else ("R", self.rights)
+        return tuple((f"{side}{i}", g) for i, g in enumerate(games))
 
     def _joint(self, left_label, right_label):
         return self.table[int(left_label[1:])][int(right_label[1:])]

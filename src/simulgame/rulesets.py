@@ -1,8 +1,10 @@
 """The three concrete rulesets: subtraction strips, clobber, hackenbush.
 
-Each position type gives its option lists, the private pair rule
-``_joint`` that resolves a pair of option labels, ``_key_text`` and, where
-the ruleset has one, its own score hook ``_score`` (see ``position``).
+Each position type gives one move rule ``options(left)``, applied with
+Left's subtraction set, colour or pieces when ``left`` is true and with
+Right's otherwise, the private pair rule ``_joint`` that resolves a pair
+of option labels, ``_key_text`` and, where the ruleset has one, its own
+score hook ``_score`` (see ``position``).
 Legality is membership in the option lists, checked once by ``Position``,
 so no ruleset checks a move pair.  Builders at the bottom construct the boards the
 test corpus and the expression grammar need (strips, complete graphs,
@@ -53,26 +55,22 @@ class SqPosition(Position):
         if any(x <= 0 for x in self.left_set | self.right_set):
             raise BadParameters("subtraction amounts must be positive")
 
-    def _moves(self, amounts: frozenset[int], blocked: frozenset[int]):
+    def options(self, left):
+        amounts, blocked = (
+            (self.left_set, self.left_blocked) if left else (self.right_set, self.right_blocked)
+        )
         if self.n in blocked:
             return ()
         out = []
         for p in sorted(amounts):
             if p <= self.n:
-                out.append((f"{p}l", self._take(p)))
-                out.append((f"{p}r", self._take(p)))
+                succ = self._at(self.n - p)
+                out += [(f"{p}l", succ), (f"{p}r", succ)]
         return tuple(out)
 
-    def _take(self, p: int) -> "SqPosition":
-        return SqPosition(
-            self.left_set, self.right_set, self.n - p, self.left_blocked, self.right_blocked
-        )
-
-    def left_options(self):
-        return self._moves(self.left_set, self.left_blocked)
-
-    def right_options(self):
-        return self._moves(self.right_set, self.right_blocked)
+    def _at(self, n: int) -> "SqPosition":
+        """The strip of length n with this one's sets and blocks."""
+        return SqPosition(self.left_set, self.right_set, n, self.left_blocked, self.right_blocked)
 
     def _joint(self, left_label, right_label) -> "SqPosition":
         """Apply a simultaneous pair of subtraction moves."""
@@ -84,9 +82,7 @@ class SqPosition(Position):
             remaining = 0
         else:
             remaining = self.n - a - b
-        return SqPosition(
-            self.left_set, self.right_set, remaining, self.left_blocked, self.right_blocked
-        )
+        return self._at(remaining)
 
     def _key_text(self) -> str:
         def fs(s):
@@ -154,26 +150,15 @@ class ClobberPosition(Position):
         """Sorted neighbours of every square, shared by all boards on one edge set."""
         return _adjacency(self.edges, len(self.occupancy))
 
-    def _piece_moves(self, mover: str, target: str):
+    def options(self, left):
+        mover, target = ("X", "O") if left else ("O", "X")
         neighbors = self._neighbors()
-        return [
-            (u, v)
+        return tuple(
+            (f"{u}>{v}", self._apply_unilateral(u, v, left))
             for u, ch in enumerate(self.occupancy)
             if ch == mover
             for v in neighbors[u]
             if self.occupancy[v] == target
-        ]
-
-    def left_options(self):
-        return tuple(
-            (f"{u}>{v}", self._apply_unilateral(u, v, left=True))
-            for u, v in self._piece_moves("X", "O")
-        )
-
-    def right_options(self):
-        return tuple(
-            (f"{u}>{v}", self._apply_unilateral(u, v, left=False))
-            for u, v in self._piece_moves("O", "X")
         )
 
     def _apply_unilateral(self, u, v, left: bool) -> "ClobberPosition":
@@ -276,18 +261,9 @@ class HackenbushPosition(Position):
         normalized = _prune(self.roots, tuple(sorted(self.edges)))
         object.__setattr__(self, "edges", normalized)
 
-    def _edges_for(self, colors) -> tuple:
-        return tuple(e for e in self.edges if e[3] in colors)
-
-    def left_options(self):
-        return tuple(
-            (f"e{e[0]}", self._remove({e[0]})) for e in self._edges_for((BLUE, GREEN))
-        )
-
-    def right_options(self):
-        return tuple(
-            (f"e{e[0]}", self._remove({e[0]})) for e in self._edges_for((RED, GREEN))
-        )
+    def options(self, left):
+        colors = (BLUE if left else RED, GREEN)
+        return tuple((f"e{e[0]}", self._remove({e[0]})) for e in self.edges if e[3] in colors)
 
     def _joint(self, left_label, right_label) -> "HackenbushPosition":
         """Remove both chosen edges (once, if the same green edge), then prune."""

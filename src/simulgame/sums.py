@@ -5,7 +5,8 @@ different rulesets.  The three kinds differ only in which components a
 player moves in and in when play stops; ``SumPosition._read_mobility``
 states those rules, once, over the components' own mobility readings.  A
 player's pure strategy is one move in each component that player moves in;
-the sum's options and its move matrix both come from that one enumeration.
+the sum's one move rule ``options(left)`` and its move matrix both come
+from that one enumeration, over each component's own ``options(left)``.
 A matrix cell is composed from the components: a component both players
 moved in takes the cell of its own move matrix, and any other moved
 component takes its unilateral successor.  Evaluation of a sum is still
@@ -123,25 +124,18 @@ class SumPosition(Position):
             return []
 
         def moves(i):
-            comp = self.components[i]
-            options = comp.left_options() if left else comp.right_options()
+            options = self.components[i].options(left)
             return [(i, k, lbl, succ) for k, (lbl, succ) in enumerate(options)]
 
         if self.kind == DISJUNCTIVE:
             return [(move,) for i in reading.movers for move in moves(i)]
         return list(itertools.product(*(moves(i) for i in reading.movers)))
 
-    def _options(self, left: bool):
+    def options(self, left):
         return tuple(
             (_label(strategy), self._replace({i: succ for i, _, _, succ in strategy}))
             for strategy in self._strategies(left)
         )
-
-    def left_options(self):
-        return self._options(left=True)
-
-    def right_options(self):
-        return self._options(left=False)
 
     def move_matrix(self) -> MoveMatrix:
         """Rows and columns follow option order."""

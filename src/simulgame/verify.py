@@ -472,11 +472,6 @@ def build_checks(memo: Memo) -> list[Check]:
     return checks
 
 
-def known_discrepancies() -> list[str]:
-    """Ids of checks whose published expectations fail exact recomputation."""
-    return [c.id for c in build_checks(Memo()) if c.known_discrepancy]
-
-
 def run_suite(name: str) -> list[dict]:
     """Run a named suite; records come back in manifest order."""
     if name not in ("paper", "properties", "all"):

@@ -106,13 +106,13 @@ def test_c03_published_conjunction_of_five_and_six():
 
     def derived(succ):
         finished = [
-            c for c in succ.components if not (c.has_left_option() and c.has_right_option())
+            c for c in succ.components if not (c._mobility().left and c._mobility().right)
         ]
         if not finished:
             return successors[tuple(sorted(c.n for c in succ.components))]
         # The winner is whoever still has a move in every finished component.
-        left = all(c.has_left_option() for c in finished)
-        right = all(c.has_right_option() for c in finished)
+        left = all(c._mobility().left for c in finished)
+        right = all(c._mobility().right for c in finished)
         return F(int(left) - int(right))
 
     text = "sq'{1}{2}(5) ^ sq'{1}{2}(6)"

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from simulgame import analysis, cli
+from simulgame.engine import Memo
 from simulgame.errors import LoopyGame, SizeLimit
-from simulgame.verify import ACCEPTANCE_POSITIONS
+from simulgame.verify import ACCEPTANCE_POSITIONS, build_checks
 
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "cli-schema.json"
 
@@ -148,6 +149,41 @@ def test_eval_syntax_error_before_bad_literal(capsys):
     assert code == 2 and out == "" and "offset 16" in err
     code, out, err = run(capsys, "eval", "cl:K1 + s(1) ^ s(2)")
     assert code == 2 and "parenthesize" in err
+
+
+def test_eval_trailing_whitespace(capsys):
+    for tail in (" ", "\t", "\n"):
+        code, out, err = run(capsys, "eval", "s(1)" + tail, "--convention", "scoring")
+        assert (code, out, err) == (0, "1\n", "")
+
+
+def test_eval_bad_outcome_letter_caret(capsys):
+    code, out, err = run(capsys, "eval", "o(X)")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "parse error: unexpected 'X' at offset 2; expected one of ['D', 'L', 'R']",
+        "    o(X)",
+        "      ^",
+    ]
+
+
+def test_eval_nesting_bound(capsys):
+    ok = "(" * 99 + "s(1)" + ")" * 99
+    assert run(capsys, "eval", ok, "--convention", "scoring")[:2] == (0, "1\n")
+    for depth in (100, 600):
+        text = "(" * depth + "s(1)" + ")" * depth
+        code, out, err = run(capsys, "eval", text)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("parse error: nesting deeper than 100 levels at offset 100\n")
+        assert err.splitlines()[2] == "    " + " " * 100 + "^"
+
+
+def test_eval_deepest_explicit_game(capsys):
+    text = "s(0)"
+    for _ in range(99):
+        text = f"x{{L:[{text}] | R:[s(0)] | LR:[[s(0)]]}}"
+    assert run(capsys, "eval", text)[:2] == (0, "0\n")
+    assert run(capsys, "eval", text, "--measure", "index")[:2] == (0, "[0, 0]\n")
 
 
 def test_eval_first_bad_literal_wins(capsys):
@@ -302,10 +338,8 @@ def test_verify_paper_json(capsys):
         assert record["status"] in ("pass", "fail", "error")
     # Two published figures do not survive exact recomputation; they are
     # kept in the manifest with their published expectations and fail.
-    from simulgame.verify import known_discrepancies
-
     failing = sorted(r["id"] for r in payload["checks"] if r["status"] != "pass")
-    assert failing == sorted(known_discrepancies())
+    assert failing == sorted(c.id for c in build_checks(Memo()) if c.known_discrepancy)
     assert failing == ["sqp-wedge-5-6", "table5-scoring-plus"]
     assert code == 1
     assert payload["failed"] == 2

@@ -171,11 +171,8 @@ def test_repeated_calls_identical():
 class _Loop(Position):
     ruleset_tag = "loop"
 
-    def left_options(self):
-        return (("l", self),)
-
-    def right_options(self):
-        return (("r", self),)
+    def options(self, left):
+        return (("l" if left else "r", self),)
 
     def _joint(self, left_label, right_label):
         return self
@@ -222,8 +219,6 @@ def test_role_swap_negates_values():
 def test_profile_of_terminal_left_win():
     prof = guarantee_profile(sq({1}, {2}, 1), NORMAL)
     assert (prof.ell, prof.arr) == (1, 0)
-    assert prof.left_forces_win and prof.right_cannot_win
-    assert not prof.left_cannot_win and not prof.right_forces_win
 
 
 def test_profile_of_strip_equals_value():
@@ -238,7 +233,6 @@ def test_profile_of_strip_equals_value():
 def test_profile_of_drawn_stalk():
     prof = guarantee_profile(hb_stalk("BR"), NORMAL)
     assert (prof.ell, prof.arr) == (0, 0)
-    assert prof.left_cannot_win and prof.right_cannot_win
 
 
 def test_profile_builds_each_matrix_once(monkeypatch):

@@ -13,7 +13,7 @@ from simulgame.errors import (
     MixedOperators,
     UnknownRuleset,
 )
-from simulgame.gexpr import parse, render_position
+from simulgame.gexpr import MAX_NESTING, parse, render_position
 from simulgame.position import ExplicitGame, ScoreLiteral, score
 from simulgame.rulesets import ClobberPosition, HackenbushPosition, SqPosition, sq
 from simulgame.sums import SumPosition, disjunctive
@@ -76,6 +76,26 @@ def test_syntax_error_carries_offset_and_expected():
 def test_trailing_garbage_rejected():
     with pytest.raises(GameSyntaxError):
         parse("s(1) s(2)")
+
+
+@pytest.mark.parametrize("tail", [" ", "\t", "\n", " \t\n "])
+def test_trailing_whitespace_is_ignored(tail):
+    assert parse("s(1)" + tail) == parse("s(1)")
+    assert parse("sq{1}{2}(3) + hb[BR]" + tail) == parse("sq{1}{2}(3) + hb[BR]")
+
+
+def test_stray_character_after_whitespace_is_reported_where_it_is():
+    with pytest.raises(GameSyntaxError) as info:
+        parse("s(1) #")
+    assert info.value.offset == 5
+    assert "'#'" in str(info.value)
+
+
+def test_bad_outcome_letter_is_reported_at_the_letter():
+    with pytest.raises(GameSyntaxError) as info:
+        parse("o(X)")
+    assert info.value.offset == 2
+    assert str(info.value) == "unexpected 'X' at offset 2; expected one of ['D', 'L', 'R']"
 
 
 def test_lowering_examples():
@@ -171,7 +191,7 @@ def test_render_position_roundtrips_literals():
 
 
 def test_render_position_clobber_board_keeps_its_labels():
-    board = dict(parse("cl[OXOO]").left_options())["1>2"]
+    board = dict(parse("cl[OXOO]").options(True))["1>2"]
     assert render_position(board) == "cl(0-1,1-2,2-3|O_XO|1)"
     assert render_position(board) != board.canonical_key()
 
@@ -186,3 +206,40 @@ def test_evaluation_through_grammar():
     assert evaluate(parse("sq{1}{2}(3)"), NORMAL, memo=Memo()).ex == F(1, 2)
     assert evaluate(sq({1}, {2}, 3), NORMAL, memo=Memo()).ex == F(1, 2)
     assert str(evaluate(parse("s(0)"), SCORING, memo=MEMO).ex) == "0"
+
+
+def _parens(depth):
+    return "(" * depth + "s(1)" + ")" * depth
+
+
+def _explicit(depth):
+    """An explicit game nested ``depth`` deep through its only Left option."""
+    text = "s(0)"
+    for _ in range(depth):
+        text = f"x{{L:[{text}] | R:[s(0)] | LR:[[s(0)]]}}"
+    return text
+
+
+def test_nesting_bound():
+    # The top level is one level and each parenthesis one more.
+    assert MAX_NESTING == 100
+    assert parse(_parens(MAX_NESTING - 1)) == score(1)
+    with pytest.raises(GameSyntaxError) as info:
+        parse(_parens(MAX_NESTING))
+    assert info.value.offset == MAX_NESTING
+    assert "nesting deeper than 100 levels" in str(info.value)
+    # Far past the bound the parser stops at the first level too deep.
+    with pytest.raises(GameSyntaxError) as info:
+        parse(_parens(600))
+    assert info.value.offset == MAX_NESTING
+
+
+def test_nesting_bound_counts_list_items():
+    # Each list item opens a level: 99 explicit games put s(0) at level 100.
+    p = parse(_explicit(99))
+    with pytest.raises(GameSyntaxError) as info:
+        parse(_explicit(100))
+    assert info.value.offset == 5 * 100
+    assert evaluate(p, NORMAL, memo=Memo()).ex == 0
+    text = render_position(p)
+    assert len(text) == 3172 and parse(text) == p

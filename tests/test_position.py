@@ -65,7 +65,7 @@ def test_foreign_and_malformed_labels_name_the_player(p):
 @pytest.mark.parametrize("p", STOPPED, ids=lambda p: p.canonical_key())
 def test_no_simultaneous_move_is_illegal(p):
     assert p.move_matrix().is_empty
-    labels = [l for l, _ in p.left_options()] + [r for r, _ in p.right_options()]
+    labels = [l for l, _ in p.options(True)] + [r for r, _ in p.options(False)]
     for label in labels + ["bogus"]:
         with pytest.raises(IllegalMove, match="no simultaneous move"):
             p.joint_option(label, label)

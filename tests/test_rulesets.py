@@ -5,7 +5,8 @@ import random
 import pytest
 
 from simulgame.errors import BadCordonSpec, BadParameters, IllegalMove
-from simulgame.position import v_a
+from simulgame.gexpr import parse
+from simulgame.position import ExplicitGame, v_a
 from simulgame.rulesets import (
     ClobberPosition,
     clobber_complete,
@@ -49,8 +50,8 @@ def test_primed_multi_amount_matrix():
 
 def test_primed_blocks_left_on_two():
     p = sq({1}, {2}, 2, primed=True)
-    assert p.left_options() == ()
-    assert p.has_right_option()
+    assert p.options(True) == ()
+    assert p._mobility().right
     assert p.normal_outcome() == "R"
 
 
@@ -84,14 +85,14 @@ def test_illegal_takes_rejected():
 
 def test_strip_options_cover_both_sides():
     p = sq({1, 3}, {2}, 7)
-    labels = [l for l, _ in p.left_options()]
+    labels = [l for l, _ in p.options(True)]
     assert labels == ["1l", "1r", "3l", "3r"]
 
 
 def test_strip_role_swap():
     p = sq({1}, {2}, 5, primed=True)
     q = p.swap_roles()
-    assert q.right_options() == () or q.n != 2
+    assert q.options(False) == () or q.n != 2
     assert q.left_set == frozenset({2}) and q.right_set == frozenset({1})
     assert q.right_blocked == frozenset({2})
 
@@ -136,14 +137,14 @@ def test_nonmutual_pair_relocates_both():
 
 def test_unilateral_left_capture_counts():
     p = clobber_strip("OXO")
-    succ = dict(p.left_options())["1>0"]
+    succ = dict(p.options(True))["1>0"]
     assert succ.occupancy == ("X", "_", "O")
     assert succ.acc == 1
 
 
 def test_unilateral_right_capture_removes_x():
     p = clobber_strip("OXO")
-    succ = dict(p.right_options())["0>1"]
+    succ = dict(p.options(False))["0>1"]
     assert succ.occupancy == ("_", "O", "O")
     assert succ.acc == 0
 
@@ -277,3 +278,64 @@ def test_hackenbush_score_guard():
     assert hb_stalk("").terminal_score() == 0
     with pytest.raises(NotTerminal):
         hb_stalk("BR").terminal_score()
+
+
+# -- one move rule per player ---------------------------------------------------
+
+# Each position with the labels of Left's options: Left subtracts its own
+# amounts (and is blocked on a primed 2-strip) and cuts blue or green edges.
+SWAPPABLE = {
+    "sq{1,3}{2}(7)": ["1l", "1r", "3l", "3r"],
+    "sq{1}{2,4}(5)": ["1l", "1r"],
+    "sq'{1}{2}(2)": [],
+    "sq'{1,4}{2}(4)": ["1l", "1r", "4l", "4r"],
+    "hb[BRG]": ["e0", "e2"],
+    "hb[GGRB]": ["e0", "e1", "e3"],
+    "hb[RRB]": ["e2"],
+    "s(3)": [],
+    "s(-2)": [],
+}
+EXPLICIT = ["x{L:[s(1),s(2)] | R:[s(3)] | LR:[[s(0)],[o(L)]]}", "o(L)", "o(R)"]
+BOARDS = ["cl[OXO]", "cl[XXO_OX]", "cl:K4", "cl:fig9"]
+
+
+@pytest.mark.parametrize("left", [True, False])
+@pytest.mark.parametrize("text", SWAPPABLE)
+def test_swapped_roles_swap_the_options(text, left):
+    # Each ruleset states its move rule once; with the roles swapped, one
+    # player's options are the other's, successor by successor.
+    p = parse(text)
+    assert [label for label, _ in p.options(True)] == SWAPPABLE[text]
+    mine, theirs = p.options(not left), p.swap_roles().options(left)
+    assert [label for label, _ in theirs] == [label for label, _ in mine]
+    assert [q.canonical_key() for _, q in theirs] == [
+        q.swap_roles().canonical_key() for _, q in mine
+    ]
+
+
+@pytest.mark.parametrize("left", [True, False])
+@pytest.mark.parametrize("text", EXPLICIT)
+def test_explicit_options_follow_the_player(text, left):
+    # The mirror lists Right's options as Left's and transposes the table.
+    p = parse(text)
+    mirror = ExplicitGame(p.rights, p.lefts, tuple(zip(*p.table)))
+    side = "L" if left else "R"
+    assert all(label[0] == side for label, _ in p.options(left))
+    assert [(label[1:], g) for label, g in mirror.options(left)] == [
+        (label[1:], g) for label, g in p.options(not left)
+    ]
+
+
+@pytest.mark.parametrize("left", [True, False])
+@pytest.mark.parametrize("text", BOARDS)
+def test_clobber_colour_swap_swaps_the_options(text, left):
+    # Swapping X and O gives the other player the same moves; only Left's
+    # captures add to the capture count.
+    p = parse(text)
+    flip = str.maketrans("XO", "OX")
+    mirror = ClobberPosition(p.edges, tuple("".join(p.occupancy).translate(flip)))
+    mine, theirs = p.options(not left), mirror.options(left)
+    assert mine and [label for label, _ in theirs] == [label for label, _ in mine]
+    for (_, q), (_, r) in zip(mine, theirs):
+        assert r.occupancy == tuple("".join(q.occupancy).translate(flip))
+        assert (q.acc, r.acc) == ((0, 1) if left else (1, 0))

@@ -241,18 +241,22 @@ def test_move_count_score_requires_one_sided_position():
 
 def test_move_count_score_builds_each_strip_once(monkeypatch):
     # Every strip of the chain is reached by two moves (from either end);
-    # each length is expanded once, not once per path.
+    # each length is expanded once, not once per path: Left's options are
+    # built for its mobility reading and for the chain, Right's for the
+    # reading alone.
     n = 14
     builds = Counter()
-    original = SqPosition.left_options
+    original = SqPosition.options
 
-    def counting(self):
-        builds[self.n] += 1
-        return original(self)
+    def counting(self, left):
+        builds[self.n, left] += 1
+        return original(self, left)
 
-    monkeypatch.setattr(SqPosition, "left_options", counting)
+    monkeypatch.setattr(SqPosition, "options", counting)
     assert v_a(sq({1}, {100}, n)) == n
-    assert sum(builds.values()) <= 2 * (n + 1)
+    assert {length for length, _ in builds} == set(range(n + 1))
+    assert max(builds[length, True] for length in range(n + 1)) <= 2
+    assert max(builds[length, False] for length in range(n + 1)) <= 1
 
 
 # -- kind rules --------------------------------------------------------------------
@@ -272,7 +276,7 @@ def _expected(kind, parts):
     """Readings of a sum from its (component, score) parts: who can move,
     whether play stopped, and at a stop the winner and the score.  Each
     component's mobility comes from its own option lists."""
-    moves = [(bool(c.left_options()), bool(c.right_options())) for c, _ in parts]
+    moves = [(bool(c.options(True)), bool(c.options(False))) for c, _ in parts]
     finished = [i for i, (lm, rm) in enumerate(moves) if not (lm and rm)]
     if kind == "+":
         left = any(lm for lm, _ in moves)
@@ -295,8 +299,8 @@ def _expected(kind, parts):
 
 def _check_readings(s, want):
     assert s.is_terminal() == want["terminal"]
-    assert s.has_left_option() == want["left"] == bool(s.left_options())
-    assert s.has_right_option() == want["right"] == bool(s.right_options())
+    assert s._mobility().left == want["left"] == bool(s.options(True))
+    assert s._mobility().right == want["right"] == bool(s.options(False))
     if want["terminal"]:
         assert s.normal_outcome() == want["outcome"]
         assert s.terminal_score() == want["score"]
@@ -331,20 +335,20 @@ def test_finished_conjunctive_inside_continued():
 
 def test_predicates_read_each_component_once(monkeypatch):
     builds = Counter()
-    for side in ("left_options", "right_options"):
-        original = getattr(SqPosition, side)
+    original = SqPosition.options
 
-        def counting(self, original=original, side=side):
-            builds[self.n, side] += 1
-            return original(self)
+    def counting(self, left):
+        builds[self.n, left] += 1
+        return original(self, left)
 
-        monkeypatch.setattr(SqPosition, side, counting)
+    monkeypatch.setattr(SqPosition, "options", counting)
     s = continued_conjunctive(sq({1}, {5}, 2), s12(0))
     for _ in range(5):
         assert s.is_terminal()
-        assert not s.has_left_option() and not s.has_right_option()
+        reading = s._mobility()
+        assert not reading.left and not reading.right
         assert s.normal_outcome() == "D"
-    assert builds and max(builds.values()) == 1
+    assert builds == {(2, True): 1, (2, False): 1, (0, True): 1, (0, False): 1}
 
 
 def test_kind_specific_option_builders():
@@ -376,10 +380,10 @@ def test_matrix_empty_exactly_when_terminal():
         assert matrix.is_empty == p.is_terminal()
         # analysis.reduce_game reads successors by row and column index.
         if not matrix.is_empty:
-            assert matrix.row_labels == tuple(lbl for lbl, _ in p.left_options())
-            assert matrix.col_labels == tuple(lbl for lbl, _ in p.right_options())
-        assert p.has_left_option() == bool(p.left_options())
-        assert p.has_right_option() == bool(p.right_options())
+            assert matrix.row_labels == tuple(lbl for lbl, _ in p.options(True))
+            assert matrix.col_labels == tuple(lbl for lbl, _ in p.options(False))
+        assert p._mobility().left == bool(p.options(True))
+        assert p._mobility().right == bool(p.options(False))
 
 
 def test_outcome_literals():
