@@ -29,11 +29,11 @@ def reduce_game(p: Position, convention: str = NORMAL, *, memo: Memo | None = No
     """Recursively eliminate dominated pure strategies, bottom up.
 
     The result is an explicit game with the surviving options; its expected
-    value in isolation equals the original's.  Without a memo the whole
-    reduction shares a fresh one.  Equal subgames are reduced once per call
-    and share one result.  The table is keyed by the positions themselves,
-    not by canonical keys: one key can stand for boards whose options come
-    in other orders.
+    value in isolation equals the original's and is left in the memo (a fresh
+    one without a memo): read it there, as the result's keys spell a shared
+    subgame once per path to it.  Equal subgames are reduced once per call
+    and share one result, keyed by the positions themselves, not by keys:
+    one key can stand for boards whose options come in other orders.
     """
     memo = memo if memo is not None else Memo()
     reduced: dict[Position, Position] = {}

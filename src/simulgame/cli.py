@@ -29,7 +29,7 @@ from .errors import (
     SizeLimit,
     UnknownRuleset,
 )
-from .gexpr import parse, render_position
+from .gexpr import _rendered_length, parse, render_position
 from .rulesets import SqPosition
 from .sums import SumPosition
 
@@ -39,6 +39,7 @@ EXIT_PARSE = 2
 EXIT_EVAL = 3
 
 MEASURES = ("ex", "index", "outcome", "score", "matrix", "strategies")
+_REDUCE_TEXT_LIMIT = 1_000_000  # characters; a longer reduced game exits 3 unbuilt
 
 
 def non_negative_int(text: str) -> int:
@@ -161,7 +162,10 @@ def cmd_reduce(args) -> int:
         return EXIT_PARSE
     memo = Memo()
     reduced = reduce_game(position, args.convention, memo=memo)
-    value = evaluate(reduced, args.convention, memo=memo).ex
+    length = _rendered_length(reduced)
+    if length > _REDUCE_TEXT_LIMIT:
+        raise SizeLimit(f"the reduced game runs to {length} characters, over {_REDUCE_TEXT_LIMIT}")
+    value = evaluate(position, args.convention, memo=memo).ex
     lines = [
         render_position(reduced),
         f"ex {value}",

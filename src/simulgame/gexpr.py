@@ -332,25 +332,20 @@ def render_position(p) -> str:
     """Literal syntax for a position when one exists, canonical key otherwise.
 
     Display helper for the CLI; positions that left the literal families
-    (pruned graphs, primed variants with unusual blocks) fall back to their
-    canonical keys, which are not reparseable.  A clobber board prints its
-    own edges and occupancy instead, since its key is relabelled.
+    (pruned graphs, strips that prime Right after a role swap) fall back to
+    their canonical keys, which are not reparseable.  A clobber board prints
+    its own edges and occupancy instead, since its key is relabelled.
     """
     if isinstance(p, ScoreLiteral):
         if p.value.denominator == 1:
             return f"s({p.value})"
         return p.canonical_key()
     if isinstance(p, SqPosition):
-        if p.right_blocked:
-            return p.canonical_key()
-        if p.left_blocked == frozenset({2}):
-            prime = "'"
-        elif not p.left_blocked:
-            prime = ""
-        else:
+        if p.right_primed:
             return p.canonical_key()
         ls = ",".join(str(x) for x in sorted(p.left_set))
         rs = ",".join(str(x) for x in sorted(p.right_set))
+        prime = "'" if p.left_primed else ""
         return f"sq{prime}{{{ls}}}{{{rs}}}({p.n})"
     if isinstance(p, ClobberPosition):
         if p.acc == 0 and p.edges == _path_edges(len(p.occupancy)):
@@ -379,3 +374,26 @@ def render_position(p) -> str:
             parts.append(text)
         return f" {p.kind} ".join(parts)
     return p.canonical_key()
+
+
+def _rendered_length(p) -> int:
+    """``len(render_position(p))``, read without the text or recursion, once
+    per distinct subgame.  Lengths are keyed by ``id``: the hash of an
+    explicit game walks its whole tree, once per path to a shared subgame."""
+    lengths: dict = {}
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if not isinstance(q, ExplicitGame):
+            lengths[id(q)] = len(render_position(q))
+            continue
+        lists = (q.lefts, q.rights, *q.table)
+        pending = [g for items in lists for g in items if id(g) not in lengths]
+        if pending:
+            stack += [q, *pending]
+            continue
+        # The frame "x{L:[] | R:[] | LR:[]}", "[]" per table row, commas between.
+        lengths[id(q)] = 22 + 3 * len(q.table) - bool(q.table) + sum(
+            max(len(items) - 1, 0) + sum(lengths[id(g)] for g in items) for items in lists
+        )
+    return lengths[id(p)]

@@ -270,38 +270,34 @@ def fictitious_play(rows: Sequence[Sequence], iterations: int) -> tuple[Fraction
 def eliminate_dominated(rows: Sequence[Sequence]):
     """Iterated weak dominance with lowest-index survivors.
 
-    Removes any row weakly dominated by a surviving row and any column that
-    is weakly worse for the column player than a surviving column, until a
-    fixpoint.  Returns (reduced matrix, kept row indices, kept col indices).
+    Removes any row weakly dominated by a surviving row, then any column
+    weakly worse for the column player than a surviving column (the row pass
+    on the negated transpose), until a fixpoint.  Returns (reduced matrix,
+    kept row indices, kept col indices).
     """
     a = as_matrix(rows)
+    flipped = [[-x for x in col] for col in zip(*a)]
     keep_r = list(range(len(a)))
     keep_c = list(range(len(a[0])))
-    changed = True
-    while changed:
-        changed = False
-        for i in list(keep_r):
-            for k in keep_r:
-                if k == i:
-                    continue
-                ri = [a[i][j] for j in keep_c]
-                rk = [a[k][j] for j in keep_c]
-                if all(x >= y for x, y in zip(rk, ri)) and (rk != ri or k < i):
-                    keep_r.remove(i)
-                    changed = True
-                    break
-        for j in list(keep_c):
-            for l in keep_c:
-                if l == j:
-                    continue
-                cj = [a[i][j] for i in keep_r]
-                cl = [a[i][l] for i in keep_r]
-                if all(x <= y for x, y in zip(cl, cj)) and (cl != cj or l < j):
-                    keep_c.remove(j)
-                    changed = True
-                    break
+    # ``|``, not ``or``: every round runs both passes.
+    while _drop_dominated_rows(a, keep_r, keep_c) | _drop_dominated_rows(flipped, keep_c, keep_r):
+        pass
     reduced = [[a[i][j] for j in keep_c] for i in keep_r]
     return reduced, tuple(keep_r), tuple(keep_c)
+
+
+def _drop_dominated_rows(a: Matrix, keep_r: list[int], keep_c: list[int]) -> bool:
+    """Drop, in index order, each row of ``keep_r`` that another one weakly
+    dominates on ``keep_c`` or equals with a lower index; True if one went."""
+    row = {i: [a[i][j] for j in keep_c] for i in keep_r}
+    before = len(keep_r)
+    for i in list(keep_r):
+        if any(
+            k != i and all(x >= y for x, y in zip(row[k], row[i])) and (row[k] != row[i] or k < i)
+            for k in keep_r
+        ):
+            keep_r.remove(i)
+    return len(keep_r) < before
 
 
 def response_value(rows: Sequence[Sequence], row_mix: Sequence) -> Fraction:

@@ -192,24 +192,33 @@ def v_a(p: Position) -> int:
     reading = p._mobility()
     if reading.left and reading.right:
         raise NotTerminal("v_a needs a position where some player cannot move")
-    if not reading.left and not reading.right:
-        return 0
     if reading.left:
-        return _chain(p, True, {})
-    return -_chain(p, False, {})
+        return _chain(p, True)
+    return -_chain(p, False)
 
 
-def _chain(p: Position, left: bool, table: dict) -> int:
-    """Longest unilateral chain from p; ``table`` maps each child seen in
-    this call to what a move into it adds (0 if it lets the opponent move)."""
-    best = 0
-    for _, child in p.options(left):
-        if child not in table:
-            reading = child._mobility()
-            blocked = reading.right if left else reading.left
-            table[child] = 0 if blocked else 1 + _chain(child, left, table)
-        best = max(best, table[child])
-    return best
+def _chain(p: Position, left: bool) -> int:
+    """Longest unilateral chain from p, on a stack of [position, unread
+    options, best gain] frames.  ``gain`` maps each child seen in this call to
+    what a move into it adds: 0 if it lets the opponent move, else 1 + its chain."""
+    gain: dict = {}
+    stack = [[p, iter(p.options(left)), 0]]
+    while True:
+        frame = stack[-1]
+        for _, child in frame[1]:
+            if child not in gain:
+                reading = child._mobility()
+                if not (reading.right if left else reading.left):
+                    stack.append([child, iter(child.options(left)), 0])
+                    break
+                gain[child] = 0
+            frame[2] = max(frame[2], gain[child])
+        else:
+            stack.pop()
+            if not stack:
+                return frame[2]
+            gain[frame[0]] = 1 + frame[2]
+            stack[-1][2] = max(stack[-1][2], gain[frame[0]])
 
 
 @dataclass(frozen=True)

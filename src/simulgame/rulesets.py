@@ -34,16 +34,16 @@ class SqPosition(Position):
 
     Simultaneous rule: same side removes max(p, q); opposite sides remove
     p + q, clamped to an empty strip when max(p, q) <= n <= p + q.
-    ``left_blocked`` lists strip lengths on which Left has no move at all
-    (the primed variants); ``right_blocked`` mirrors it for Right so role
-    swaps stay inside the type.
+    A primed player has no move at all on a strip of length 2:
+    ``sq(primed=True)`` primes Left (the ``sq'`` variants), and
+    ``right_primed`` mirrors it for Right so role swaps stay inside the type.
     """
 
     left_set: frozenset[int]
     right_set: frozenset[int]
     n: int
-    left_blocked: frozenset[int] = frozenset()
-    right_blocked: frozenset[int] = frozenset()
+    left_primed: bool = False
+    right_primed: bool = False
 
     ruleset_tag = "sq"
 
@@ -56,21 +56,18 @@ class SqPosition(Position):
             raise BadParameters("subtraction amounts must be positive")
 
     def options(self, left):
-        amounts, blocked = (
-            (self.left_set, self.left_blocked) if left else (self.right_set, self.right_blocked)
-        )
-        if self.n in blocked:
+        if self.n == 2 and (self.left_primed if left else self.right_primed):
             return ()
         out = []
-        for p in sorted(amounts):
+        for p in sorted(self.left_set if left else self.right_set):
             if p <= self.n:
                 succ = self._at(self.n - p)
                 out += [(f"{p}l", succ), (f"{p}r", succ)]
         return tuple(out)
 
     def _at(self, n: int) -> "SqPosition":
-        """The strip of length n with this one's sets and blocks."""
-        return SqPosition(self.left_set, self.right_set, n, self.left_blocked, self.right_blocked)
+        """The strip of length n with this one's sets and primes."""
+        return SqPosition(self.left_set, self.right_set, n, self.left_primed, self.right_primed)
 
     def _joint(self, left_label, right_label) -> "SqPosition":
         """Apply a simultaneous pair of subtraction moves."""
@@ -88,21 +85,19 @@ class SqPosition(Position):
         def fs(s):
             return ",".join(str(x) for x in sorted(s))
 
-        return (
-            f"sq({fs(self.left_set)}|{fs(self.right_set)}"
-            f"|bl:{fs(self.left_blocked)}|br:{fs(self.right_blocked)})({self.n})"
-        )
+        bl = "2" if self.left_primed else ""
+        br = "2" if self.right_primed else ""
+        return f"sq({fs(self.left_set)}|{fs(self.right_set)}|bl:{bl}|br:{br})({self.n})"
 
     def swap_roles(self) -> "SqPosition":
         return SqPosition(
-            self.right_set, self.left_set, self.n, self.right_blocked, self.left_blocked
+            self.right_set, self.left_set, self.n, self.right_primed, self.left_primed
         )
 
 
 def sq(left, right, n, primed=False) -> SqPosition:
     """Strip position; primed variants block Left's move on a 2-strip."""
-    blocked = frozenset({2}) if primed else frozenset()
-    return SqPosition(frozenset(left), frozenset(right), n, blocked, frozenset())
+    return SqPosition(frozenset(left), frozenset(right), n, primed)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +244,8 @@ class HackenbushPosition(Position):
 
     Edges are (id, lower vertex, upper vertex, colour) and keep their ids
     across removals, so move labels stay stable.  Construction prunes any
-    edge not connected to a root.
+    edge not connected to a root.  A finished board has no green edge and
+    one colour at most (else both could move): it scores its signed count.
     """
 
     roots: frozenset[int]
@@ -279,16 +275,7 @@ class HackenbushPosition(Position):
         return f"hb(roots[{rs}]|{es})"
 
     def _score(self) -> Fraction:
-        """Signed count of the surviving colour; move counting if mixed."""
-        colors = [e[3] for e in self.edges]
-        blues, reds, greens = colors.count(BLUE), colors.count(RED), colors.count(GREEN)
-        if not colors:
-            return Fraction(0)
-        if blues and not reds and not greens:
-            return Fraction(blues)
-        if reds and not blues and not greens:
-            return Fraction(-reds)
-        return super()._score()
+        return Fraction(sum(1 if e[3] == BLUE else -1 for e in self.edges))
 
     def swap_roles(self) -> "HackenbushPosition":
         flip = {BLUE: RED, RED: BLUE, GREEN: GREEN}
@@ -361,28 +348,13 @@ def hb_cordon(n: int, attachments: list[tuple[int, str]] = ()) -> HackenbushPosi
     return HackenbushPosition(frozenset({0}), tuple(edges))
 
 
-def fig_two_bicolor_stalks() -> HackenbushPosition:
-    """Two blue-red stalks on common ground (the worked two-stalk example)."""
-    return hb_forest(["BR", "BR"])
-
-
-def fig_bicolor_and_double_blue() -> HackenbushPosition:
-    """A blue-red stalk next to a blue-blue stalk."""
-    return hb_forest(["BR", "BB"])
-
-
 def clobber_one_x_strip(flank: int) -> ClobberPosition:
     """Path with a single X between two O runs of the given length."""
     return clobber_strip("O" * flank + "X" + "O" * flank)
 
 
-def clobber_two_x_strip() -> ClobberPosition:
-    """The seven-cell path with two X pieces separated by an O."""
-    return clobber_strip("OOXOXOO")
-
-
 BUILTIN_BOARDS = {
-    ("hb", "fig5G"): fig_two_bicolor_stalks,
-    ("hb", "fig5H"): fig_bicolor_and_double_blue,
-    ("cl", "fig9"): clobber_two_x_strip,
+    ("hb", "fig5G"): lambda: hb_forest(["BR", "BR"]),  # the worked two-stalk example
+    ("hb", "fig5H"): lambda: hb_forest(["BR", "BB"]),
+    ("cl", "fig9"): lambda: clobber_strip("OOXOXOO"),
 }

@@ -9,7 +9,7 @@ import pytest
 
 from simulgame import analysis, cli
 from simulgame.engine import Memo
-from simulgame.errors import LoopyGame, SizeLimit
+from simulgame.errors import LoopyGame
 from simulgame.verify import ACCEPTANCE_POSITIONS, build_checks
 
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "cli-schema.json"
@@ -186,6 +186,12 @@ def test_eval_deepest_explicit_game(capsys):
     assert run(capsys, "eval", text, "--measure", "index")[:2] == (0, "[0, 0]\n")
 
 
+def test_eval_long_one_sided_chain(capsys):
+    # The move-count score walks a chain of 1500 strips without recursing.
+    code, out, err = run(capsys, "eval", "sq{1}{2000}(1500)", "--convention", "scoring")
+    assert (code, out, err) == (0, "1500\n", "")
+
+
 def test_eval_first_bad_literal_wins(capsys):
     code, out, err = run(capsys, "eval", "sq{0}{2}(3) + cl:K1")
     assert code == 2 and out == ""
@@ -270,13 +276,11 @@ def test_table_evaluation_error_exit_3(capsys, monkeypatch):
     assert code == 3 and out == "" and err == "evaluation error: cycle\n"
 
 
-def test_reduce_size_limit_exit_3(capsys, monkeypatch):
-    def boom(*args, **kwargs):
-        raise SizeLimit("too big")
-
-    monkeypatch.setattr(cli, "reduce_game", boom)
-    code, out, err = run(capsys, "reduce", "s(3)")
-    assert code == 3 and out == "" and err == "evaluation error: too big\n"
+def test_reduce_size_limit_exit_3(capsys):
+    # The reduced sq{1}{2}(18) would print about two billion characters.
+    code, out, err = run(capsys, "reduce", "sq{1}{2}(18)")
+    assert code == 3 and out == ""
+    assert err == "evaluation error: the reduced game runs to 2089127009 characters, over 1000000\n"
 
 
 def test_table_syntax_error_caret_under_family(capsys):
@@ -306,6 +310,11 @@ def test_table_limit_row(capsys):
 def test_table_rejects_other_families(capsys):
     code, _, err = run(capsys, "table", "hb[BR]")
     assert code == 2
+    # Families that parse to a sum, not to a strip.
+    for family in ("s(1) + sq{1}{2}", "hb[B] + sq{1}{2}"):
+        code, out, err = run(capsys, "table", family)
+        assert (code, out) == (2, "")
+        assert err == "table supports the subtraction-strip family only, e.g. sq{1}{2}\n"
     # Strip families that parse but that the strip builder rejects.
     for family in ("sq{0}{2}", "sq{1}{1,0}"):
         code, out, err = run(capsys, "table", family)

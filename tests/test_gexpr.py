@@ -13,7 +13,8 @@ from simulgame.errors import (
     MixedOperators,
     UnknownRuleset,
 )
-from simulgame.gexpr import MAX_NESTING, parse, render_position
+from simulgame.analysis import reduce_game
+from simulgame.gexpr import MAX_NESTING, _rendered_length, parse, render_position
 from simulgame.position import ExplicitGame, ScoreLiteral, score
 from simulgame.rulesets import ClobberPosition, HackenbushPosition, SqPosition, sq
 from simulgame.sums import SumPosition, disjunctive
@@ -30,7 +31,7 @@ def test_parse_disjunctive_pair():
 def test_parse_primed_conjunction():
     p = parse("sq'{1}{2}(5) ^ sq'{1}{2}(6)")
     assert p.kind == "^"
-    assert all(c.left_blocked == frozenset({2}) for c in p.components)
+    assert all(c.left_primed and not c.right_primed for c in p.components)
 
 
 def test_parse_mixed_ruleset_sum():
@@ -100,7 +101,7 @@ def test_bad_outcome_letter_is_reported_at_the_letter():
 
 def test_lowering_examples():
     p = parse("sq{1}{2}(3)")
-    assert isinstance(p, SqPosition) and p.n == 3 and not p.left_blocked
+    assert isinstance(p, SqPosition) and p.n == 3 and not p.left_primed
     stalk = parse("hb[BRB]")
     assert isinstance(stalk, HackenbushPosition)
     assert [e[3] for e in stalk.edges] == ["B", "R", "B"]
@@ -182,6 +183,18 @@ def test_render_position_parse_roundtrip_random_literals():
     for _ in range(500):
         p = parse(_random_text(rng, 2))
         assert parse(render_position(p)) == p
+        assert _rendered_length(p) == len(render_position(p))
+
+
+def test_rendered_length_of_shared_reductions():
+    for text, convention in [
+        ("sq{1}{2}(8)", NORMAL),
+        ("sq'{1,4}{2}(6)", NORMAL),
+        ("cl:K5", SCORING),
+        ("hb[BRGB]", SCORING),
+    ]:
+        reduced = reduce_game(parse(text), convention)
+        assert _rendered_length(reduced) == len(render_position(reduced))
 
 
 def test_render_position_roundtrips_literals():

@@ -172,6 +172,11 @@ def test_eliminate_dominated_equal_rows_keep_lowest():
     assert rows == (2,)
 
 
+def test_eliminate_dominated_equal_columns_keep_lowest():
+    reduced, rows, cols = eliminate_dominated([[0, -1, -1, 2]])
+    assert (reduced, rows, cols) == ([[-1]], (0,), (1,))
+
+
 def test_eliminate_dominated_preserves_value():
     rng = random.Random(17)
     for _ in range(120):

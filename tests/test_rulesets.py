@@ -1,5 +1,6 @@
 """Ruleset mechanics: option sets, simultaneous resolution, scores."""
 
+import itertools
 import random
 
 import pytest
@@ -94,7 +95,7 @@ def test_strip_role_swap():
     q = p.swap_roles()
     assert q.options(False) == () or q.n != 2
     assert q.left_set == frozenset({2}) and q.right_set == frozenset({1})
-    assert q.right_blocked == frozenset({2})
+    assert q.right_primed and not q.left_primed
 
 
 def test_bad_strip_parameters():
@@ -230,6 +231,42 @@ def test_hackenbush_score_rule():
     assert hb_stalk("BB").terminal_score() == 2
     assert hb_stalk("RRR").terminal_score() == -3
     assert hb_stalk("").terminal_score() == 0
+
+
+def _reachable(p):
+    """p and every position reached from it by one player's move or a pair."""
+    seen, todo = {p}, [p]
+    while todo:
+        q = todo.pop()
+        successors = [s for left in (True, False) for _, s in q.options(left)]
+        successors += [s for row in q.move_matrix().cells for s in row]
+        for s in successors:
+            if s not in seen:
+                seen.add(s)
+                todo.append(s)
+    return seen
+
+
+def test_hackenbush_terminals_score_the_signed_count():
+    # Stalks of up to 6 edges, the two builtin boards and the cordons of the
+    # verify manifest's cordon check.
+    starts = [hb_stalk("".join(c)) for k in range(7) for c in itertools.product("BRG", repeat=k)]
+    starts += [parse("hb:fig5G"), parse("hb:fig5H")]
+    for n in (1, 2, 3):
+        for a in (0, 1, 2):
+            for b in (0, 1, 2):
+                if (a or b) and n < 2:
+                    continue
+                leaves = [(1, "B")] * a + [(1, "R")] * b
+                if n == 3 and leaves:
+                    leaves[-1] = (2, leaves[-1][1])
+                starts.append(hb_cordon(n, leaves))
+    terminals = {q for p in starts for q in _reachable(p) if q.is_terminal()}
+    for q in terminals:
+        colours = {e[3] for e in q.edges}
+        assert "G" not in colours and len(colours) <= 1
+        assert q.terminal_score() == v_a(q)
+    assert {q.terminal_score() for q in terminals} == set(range(-6, 7))
 
 
 def test_move_count_score():
