@@ -7,8 +7,11 @@ solver, a simplex with Bland's rule whose tableau rows are kept as primitive
 integer vectors (see its docstring); ``saddle_value`` reads the value of a
 game with a pure saddle point without solving for mixes.
 ``support_enumeration_value`` and ``fictitious_play`` are the two
-independent oracles used to certify the solver; they compute with
-``Fraction`` throughout.
+independent oracles used to certify the solver.  Each maps its matrix once to
+an integer image, every entry times the lcm of the matrix's denominators,
+computes with Python ints only, and forms a ``Fraction`` only for the value
+or bracket it returns.  Neither calls ``game_value`` or shares its
+arithmetic.
 """
 
 from __future__ import annotations
@@ -153,78 +156,97 @@ def saddle_value(rows: Sequence[Sequence[Fraction]]) -> Fraction | None:
     return maximin if maximin == min(map(max, zip(*rows))) else None
 
 
-def _solve_linear(mat: Matrix, rhs: list[Fraction]):
-    """Gaussian elimination; returns None for singular systems."""
+def _integer_image(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """The matrix times the lcm of all its denominators, as ints, and that lcm.
+
+    One positive factor for the whole matrix keeps every comparison between
+    entries of different rows and columns, and every tie, as it was.
+    """
+    a = as_matrix(rows)
+    scale = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in a], scale
+
+
+def _solve_linear(mat: list[list[int]], rhs: list[int]) -> tuple[list[int], int] | None:
+    """Solve the square integer system ``mat @ x = rhs`` without fractions.
+
+    Fraction-free Gauss-Jordan elimination after Bareiss (Math. Comp. 1968):
+    each step cross-multiplies every other row by the pivot and divides
+    exactly by the previous pivot, so every entry stays an integer (a minor
+    of the augmented matrix) and every diagonal entry ends as the
+    determinant, up to sign.  Returns ``(nums, det)`` with ``det > 0`` and
+    ``mat @ nums == det * rhs``, that is ``x = nums / det``; None when the
+    system is singular.
+    """
     k = len(mat)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    aug = [row + [b] for row, b in zip(mat, rhs)]
+    prev = 1
     for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, k) if aug[r][col]), None)
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
+        prow = aug[col]
+        d = prow[col]
         for r in range(k):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]
+                aug[r] = [(d * x - f * y) // prev for x, y in zip(aug[r], prow)]
+        prev = d
+    nums = [row[k] for row in aug]
+    return (nums, prev) if prev > 0 else ([-x for x in nums], -prev)
 
 
 def support_enumeration_value(rows: Sequence[Sequence]) -> Fraction:
     """Game value by exhaustive square-support enumeration.
 
     Independent of the simplex path: solves the equalization system of every
-    square support pair and verifies the equilibrium inequalities exactly.
-    Limited to 5x5 by design.
+    square support pair and verifies the equilibrium inequalities exactly,
+    on the matrix's integer image.  Limited to 5x5 by design.
     """
-    a = as_matrix(rows)
+    a, scale = _integer_image(rows)
     m, n = len(a), len(a[0])
     if m > 5 or n > 5:
         raise SizeLimit("support enumeration is limited to 5x5 matrices")
+    # The column player's side is the row player's on the negated transpose.
+    flipped = [[-x for x in col] for col in zip(*a)]
     for k in range(1, min(m, n) + 1):
         for support_rows in itertools.combinations(range(m), k):
             for support_cols in itertools.combinations(range(n), k):
-                value = _check_support(a, support_rows, support_cols)
-                if value is not None:
-                    return value
+                low = _secured_value(a, support_rows, support_cols)
+                if low is None:
+                    continue
+                high = _secured_value(flipped, support_cols, support_rows)
+                # The column mix secures -w on the negated transpose.  On
+                # these supports p'Aq is both v and w, so the match v == w
+                # only cross-checks the elimination.
+                if high is not None and low[0] * high[1] == -high[0] * low[1]:
+                    return Fraction(low[0], low[1] * scale)
     raise SimulgameError("no equilibrium support found; should be impossible")
 
 
-def _check_support(a: Matrix, srows, scols):
+def _secured_value(a: list[list[int]], srows, scols) -> tuple[int, int] | None:
+    """The payoff ``(num, det)`` of the row mix on ``srows`` that pays every
+    column of ``scols`` alike, if that mix exists, has no negative weight
+    and no column pays less; else None.
+
+    Mix and payoff are numerators over the system's positive determinant,
+    so every test is an integer comparison.
+    """
     k = len(srows)
-    n_all = len(a[0])
-    m_all = len(a)
-    # Row mix p on srows equalizing the columns in scols, plus sum(p) = 1.
-    sys_rows = [[a[i][j] for i in srows] + [Fraction(-1)] for j in scols]
-    sys_rows.append([Fraction(1)] * k + [Fraction(0)])
-    rhs = [Fraction(0)] * k + [Fraction(1)]
-    sol = _solve_linear(sys_rows, rhs)
+    # Unknowns: the weights p on srows, then the payoff v; one equation per
+    # column of scols, and sum(p) = 1.
+    system = [[a[i][j] for i in srows] + [-1] for j in scols] + [[1] * k + [0]]
+    sol = _solve_linear(system, [0] * k + [1])
     if sol is None:
         return None
-    p, v = sol[:k], sol[k]
+    p, det = sol
+    v = p.pop()
     if any(x < 0 for x in p):
         return None
-    for j in range(n_all):
-        if j in scols:
-            continue
-        if sum(p[t] * a[srows[t]][j] for t in range(k)) < v:
-            return None
-    # Column mix q on scols equalizing the rows in srows.
-    sys_cols = [[a[i][j] for j in scols] + [Fraction(-1)] for i in srows]
-    sys_cols.append([Fraction(1)] * k + [Fraction(0)])
-    sol = _solve_linear(sys_cols, rhs)
-    if sol is None:
+    if any(sum(x * a[i][j] for x, i in zip(p, srows)) < v for j in range(len(a[0]))):
         return None
-    q, w = sol[:k], sol[k]
-    if w != v or any(x < 0 for x in q):
-        return None
-    for i in range(m_all):
-        if i in srows:
-            continue
-        if sum(q[t] * a[i][scols[t]] for t in range(k)) > v:
-            return None
-    return v
+    return v, det
 
 
 def fictitious_play(rows: Sequence[Sequence], iterations: int) -> tuple[Fraction, Fraction]:
@@ -233,38 +255,32 @@ def fictitious_play(rows: Sequence[Sequence], iterations: int) -> tuple[Fraction
     Each round both players best-respond to the opponent's empirical mix
     (lowest index on ties).  The bracket is the best security bound either
     empirical mix has achieved so far, so it always contains the true value.
+    Payoffs are summed on the matrix's integer image, and each bound is kept
+    as a (sum, round) pair compared by cross-multiplication.
     """
     if iterations < 1:
         raise BadParameters("iterations must be >= 1")
-    a = as_matrix(rows)
-    m, n = len(a), len(a[0])
-    row_counts = [0] * m
-    col_counts = [0] * n
+    a, scale = _integer_image(rows)
+    cols = list(zip(*a))
     # against_col[i]: payoff of pure row i summed over the column history;
     # against_row[j]: payoff of pure column j summed over the row history.
-    against_col = [Fraction(0)] * m
-    against_row = [Fraction(0)] * n
-    best_lo = None
-    best_hi = None
+    against_col = [0] * len(a)
+    against_row = [0] * len(cols)
+    best_lo = best_hi = None
+    r = c = 0
     for t in range(1, iterations + 1):
-        if t == 1:
-            r = c = 0
-        else:
-            r = max(range(m), key=lambda i: (against_col[i], -i))
-            c = min(range(n), key=lambda j: (against_row[j], j))
-        row_counts[r] += 1
-        col_counts[c] += 1
-        for i in range(m):
-            against_col[i] += a[i][c]
-        for j in range(n):
-            against_row[j] += a[r][j]
-        lo = min(against_row) / t
-        hi = max(against_col) / t
-        if best_lo is None or lo > best_lo:
-            best_lo = lo
-        if best_hi is None or hi < best_hi:
-            best_hi = hi
-    return best_lo, best_hi
+        against_col = [x + y for x, y in zip(against_col, cols[c])]
+        against_row = [x + y for x, y in zip(against_row, a[r])]
+        lo = min(against_row)
+        hi = max(against_col)
+        if best_lo is None or lo * best_lo[1] > best_lo[0] * t:
+            best_lo = (lo, t)
+        if best_hi is None or hi * best_hi[1] < best_hi[0] * t:
+            best_hi = (hi, t)
+        # Next round's best responses; index() gives the lowest index.
+        r = against_col.index(hi)
+        c = against_row.index(lo)
+    return Fraction(best_lo[0], best_lo[1] * scale), Fraction(best_hi[0], best_hi[1] * scale)
 
 
 def eliminate_dominated(rows: Sequence[Sequence]):

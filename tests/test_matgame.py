@@ -10,6 +10,9 @@ import pytest
 from simulgame.errors import BadParameters, DimensionMismatch, SizeLimit
 from simulgame.matgame import (
     Solution,
+    _integer_image,
+    _secured_value,
+    _solve_linear,
     eliminate_dominated,
     fictitious_play,
     game_value,
@@ -159,6 +162,65 @@ def test_constant_shift_moves_value_only():
         support = lambda mix: tuple(i for i, p in enumerate(mix) if p > 0)
         assert support(shifted.row_mix) == support(sol.row_mix)
         assert support(shifted.col_mix) == support(sol.col_mix)
+
+
+ORACLE_PINS = json.loads((Path(__file__).parent / "data" / "oracle_pins.json").read_text())
+
+
+def test_fictitious_play_reproduces_pins():
+    # Brackets recorded from the Fraction-arithmetic oracle: the integer
+    # image must take the same best responses, ties included.
+    for case in ORACLE_PINS["fictitious_play"]:
+        matrix = [[F(x) for x in row] for row in case["matrix"]]
+        got = fictitious_play(matrix, case["iterations"])
+        assert got == (F(case["lo"]), F(case["hi"])), case
+
+
+def test_support_enumeration_reproduces_pins():
+    cases = ORACLE_PINS["support_enumeration_value"]
+    assert max(len(str(F(x).denominator)) for c in cases for r in c["matrix"] for x in r) == 30
+    for case in cases:
+        matrix = [[F(x) for x in row] for row in case["matrix"]]
+        assert support_enumeration_value(matrix) == F(case["value"]), case
+
+
+def test_solve_linear_is_exact_over_the_integers():
+    # Small entries put zeros on the diagonal often, so rows get swapped and
+    # the determinant's sign flips.
+    rng = random.Random(29)
+    solved = 0
+    while solved < 120:
+        k = solved % 6 + 1
+        mat = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        rhs = [rng.randint(-9, 9) for _ in range(k)]
+        sol = _solve_linear(mat, rhs)
+        if sol is None:
+            continue
+        nums, det = sol
+        assert det > 0
+        assert [sum(x * y for x, y in zip(row, nums)) for row in mat] == [det * b for b in rhs]
+        solved += 1
+
+
+def test_solve_linear_rejects_rank_deficient_systems():
+    assert _solve_linear([[1, 2, 3], [4, 5, 6], [1, 2, 3]], [1, 2, 1]) is None
+    assert _solve_linear([[0, 2, 3], [0, 5, 6], [0, 1, 7]], [1, 2, 3]) is None
+    assert _solve_linear([[0]], [1]) is None
+
+
+@pytest.mark.parametrize(
+    "matrix,value",
+    [
+        ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], F(1, 2)),
+        ([[F(-5, 2)] * 4] * 4, F(-5, 2)),
+    ],
+)
+def test_support_enumeration_skips_singular_supports(matrix, value):
+    # Duplicate rows and columns make every support holding both copies
+    # singular; the first 2x2 support of each matrix is one of them.
+    image, _ = _integer_image(matrix)
+    assert _secured_value(image, (0, 1), (0, 1)) is None
+    assert support_enumeration_value(matrix) == value == game_value(matrix).value
 
 
 def test_eliminate_dominated_keeps_maximal_row():

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from simulgame import engine, matgame
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile
 from simulgame.errors import SizeLimit
+from simulgame.gexpr import parse
 from simulgame.oracle import brute_ex, brute_profile
 from simulgame.rulesets import clobber_complete, clobber_strip, hb_stalk, sq
 from simulgame.sums import conjunctive, continued_conjunctive, disjunctive
@@ -117,3 +119,26 @@ def test_random_differential_campaign():
             checked += 1
     assert checked >= 150
 
+
+@pytest.mark.parametrize(
+    "text,convention",
+    [
+        ("sq{1}{2}(3)", NORMAL),
+        ("sq'{1}{2}(3) ^ sq'{1}{2}(4)", NORMAL),
+        ("cl:K4", SCORING),
+        ("hb[BRB]", SCORING),
+        ("cl[OOX] + cl[XOO] + s(1)", SCORING),
+    ],
+)
+def test_oracles_never_call_the_simplex(monkeypatch, text, convention):
+    report = evaluate(parse(text), convention, memo=Memo())
+
+    def refuse(rows):
+        raise AssertionError("an oracle called game_value")
+
+    monkeypatch.setattr(matgame, "game_value", refuse)
+    monkeypatch.setattr(engine, "game_value", refuse)
+    assert matgame.support_enumeration_value(report.values) == report.ex
+    lo, hi = matgame.fictitious_play(report.values, 200)
+    assert lo <= report.ex <= hi
+    assert brute_ex(parse(text), convention) == report.ex
