@@ -115,49 +115,19 @@ def sq_expected_sequence(a: int, b: int, n_max: int) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class _GaussianRational:
-    re: Fraction
-    im: Fraction
-
-    def __add__(self, other):
-        return _GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return _GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return _GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def power(self, n: int) -> "_GaussianRational":
-        result = _GaussianRational(Fraction(1), Fraction(0))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-
 def sq12_closed_form(n: int) -> Fraction:
-    """Closed form of the {1},{2} strip sequence via Gaussian rationals.
+    """Closed form of the {1},{2} strip sequence; it tends to 2/5.
 
-    The two conjugate terms cancel imaginary parts exactly; the real part
-    is the expected value and tends to 2/5.
+    The recurrence e(n) = (e(n-2) + e(n-3)) / 2 has the roots 1 and
+    z, conj(z) with z = (-1+i)/2, and e(n) = (2 - 2 Re((1+2i) z^n)) / 5.
+    As z^4 = -1/4, Re((1+2i) z^n) = c[n mod 4] (-1/4)^(n div 4), where
+    c = (1, -3/2, 1, -1/4) are the real parts of (1+2i) z^k for k < 4.
     """
     if n < 0:
         raise BadParameters("n must be >= 0")
-    g = _GaussianRational
-    half = Fraction(1, 2)
-    first = g(Fraction(1), Fraction(2)) * g(-half, half).power(n)
-    second = g(Fraction(1), Fraction(-2)) * g(-half, -half).power(n)
-    total = g(Fraction(2), Fraction(0)) - first - second
-    assert total.im == 0
-    return total.re / 5
+    cycles, step = divmod(n, 4)
+    c = (Fraction(1), Fraction(-3, 2), Fraction(1), Fraction(-1, 4))[step]
+    return (2 - 2 * c * Fraction(-1, 4) ** cycles) / 5
 
 
 def clobber_kn_expected(n: int) -> Fraction:

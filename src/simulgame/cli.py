@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     or, for ``table``, the family.  ``BadCordonSpec``, ``RecursionError`` and
     other ``SimulgameError``s still propagate: the benchmark's known-crash
     test pins ``hb cordon(0; )`` and ``sq{1}{2}(1500)`` as failures.  ROADMAP
-    item 4 adds them to this handler once that pin changes.
+    item 3 adds them to this handler once that pin changes.
     """
     args = build_parser().parse_args(argv)
     try:

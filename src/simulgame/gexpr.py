@@ -336,64 +336,62 @@ def render_position(p) -> str:
     their canonical keys, which are not reparseable.  A clobber board prints
     its own edges and occupancy instead, since its key is relabelled.
     """
-    if isinstance(p, ScoreLiteral):
-        if p.value.denominator == 1:
-            return f"s({p.value})"
-        return p.canonical_key()
-    if isinstance(p, SqPosition):
-        if p.right_primed:
-            return p.canonical_key()
+    return "".join(s if isinstance(s, str) else render_position(s) for s in _parts(p))
+
+
+def _parts(p) -> list:
+    """The text of ``p`` as strings and the subgames written between them.
+    Explicit games and sums are the only positions with subgames; every other
+    position is one string, its literal or its canonical key."""
+    if isinstance(p, ExplicitGame):
+        items = lambda games: _joined([[g] for g in games], ",")
+        rows = _joined([["[", *items(row), "]"] for row in p.table], ",")
+        return ["x{L:[", *items(p.lefts), "] | R:[", *items(p.rights), "] | LR:[", *rows, "]}"]
+    if isinstance(p, SumPosition):
+        comps = [["(", c, ")"] if isinstance(c, SumPosition) else [c] for c in p.components]
+        return _joined(comps, f" {p.kind} ")
+    if isinstance(p, ScoreLiteral) and p.value.denominator == 1:
+        return [f"s({p.value})"]
+    if isinstance(p, SqPosition) and not p.right_primed:
         ls = ",".join(str(x) for x in sorted(p.left_set))
         rs = ",".join(str(x) for x in sorted(p.right_set))
         prime = "'" if p.left_primed else ""
-        return f"sq{prime}{{{ls}}}{{{rs}}}({p.n})"
+        return [f"sq{prime}{{{ls}}}{{{rs}}}({p.n})"]
     if isinstance(p, ClobberPosition):
         if p.acc == 0 and p.edges == _path_edges(len(p.occupancy)):
-            return f"cl[{''.join(p.occupancy)}]"
+            return [f"cl[{''.join(p.occupancy)}]"]
         es = ",".join(f"{u}-{v}" for u, v in sorted(p.edges))
-        return f"cl({es}|{''.join(p.occupancy)}|{p.acc})"
-    if isinstance(p, HackenbushPosition):
-        if p.roots == frozenset({0}) and all(
-            e == (i, i, i + 1, e[3]) for i, e in enumerate(p.edges)
-        ):
-            return f"hb[{''.join(e[3] for e in p.edges)}]"
-        return p.canonical_key()
-    if isinstance(p, ExplicitGame):
-        ls = ",".join(render_position(g) for g in p.lefts)
-        rs = ",".join(render_position(g) for g in p.rights)
-        ts = ",".join(
-            "[" + ",".join(render_position(g) for g in row) + "]" for row in p.table
-        )
-        return f"x{{L:[{ls}] | R:[{rs}] | LR:[{ts}]}}"
-    if isinstance(p, SumPosition):
-        parts = []
-        for comp in p.components:
-            text = render_position(comp)
-            if isinstance(comp, SumPosition):
-                text = f"({text})"
-            parts.append(text)
-        return f" {p.kind} ".join(parts)
-    return p.canonical_key()
+        return [f"cl({es}|{''.join(p.occupancy)}|{p.acc})"]
+    if isinstance(p, HackenbushPosition) and p.roots == frozenset({0}) and all(
+        e == (i, i, i + 1, e[3]) for i, e in enumerate(p.edges)
+    ):
+        return [f"hb[{''.join(e[3] for e in p.edges)}]"]
+    return [p.canonical_key()]
+
+
+def _joined(groups, sep: str) -> list:
+    """The part lists ``groups`` one after another, ``sep`` between each two."""
+    parts = []
+    for i, group in enumerate(groups):
+        parts += [sep, *group] if i else group
+    return parts
 
 
 def _rendered_length(p) -> int:
-    """``len(render_position(p))``, read without the text or recursion, once
-    per distinct subgame.  Lengths are keyed by ``id``: the hash of an
-    explicit game walks its whole tree, once per path to a shared subgame."""
+    """``len(render_position(p))``, summed over its parts without the text or
+    recursion, once per distinct subgame.  Lengths are keyed by ``id``: the
+    hash of an explicit game walks its whole tree, once per path to a shared
+    subgame."""
     lengths: dict = {}
     stack = [p]
     while stack:
         q = stack.pop()
-        if not isinstance(q, ExplicitGame):
-            lengths[id(q)] = len(render_position(q))
+        if id(q) in lengths:
             continue
-        lists = (q.lefts, q.rights, *q.table)
-        pending = [g for items in lists for g in items if id(g) not in lengths]
+        parts = _parts(q)
+        pending = [g for g in parts if not isinstance(g, str) and id(g) not in lengths]
         if pending:
             stack += [q, *pending]
-            continue
-        # The frame "x{L:[] | R:[] | LR:[]}", "[]" per table row, commas between.
-        lengths[id(q)] = 22 + 3 * len(q.table) - bool(q.table) + sum(
-            max(len(items) - 1, 0) + sum(lengths[id(g)] for g in items) for items in lists
-        )
+        else:
+            lengths[id(q)] = sum(len(s) if isinstance(s, str) else lengths[id(s)] for s in parts)
     return lengths[id(p)]

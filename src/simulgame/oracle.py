@@ -21,22 +21,21 @@ MAX_POSITIONS = 100_000
 MAX_SIDE = 5
 
 
-def brute_ex(
-    p: Position, convention: str = NORMAL, *, transform=None, max_positions: int = MAX_POSITIONS
-) -> Fraction:
-    """Expected value by pure enumeration."""
+def brute_ex(p: Position, convention: str = NORMAL, *, transform=None) -> Fraction:
+    """Expected value by pure enumeration, over at most ``MAX_POSITIONS``
+    distinct positions."""
     require_position(p)
     seen: dict = {}
-    return _brute(p, convention, transform, seen, frozenset(), max_positions)
+    return _brute(p, convention, transform, seen, frozenset())
 
 
-def _brute(p, convention, transform, seen, path, max_positions) -> Fraction:
+def _brute(p, convention, transform, seen, path) -> Fraction:
     if p in seen:
         return seen[p]
     if p in path:
         raise LoopyGame(f"position repeats along a play line: {p.canonical_key()}")
-    if len(seen) >= max_positions:
-        raise SizeLimit(f"more than {max_positions} distinct positions")
+    if len(seen) >= MAX_POSITIONS:
+        raise SizeLimit(f"more than {MAX_POSITIONS} distinct positions")
     if p.is_terminal():
         (value,) = _terminal_payoff(p, convention, (transform,))
     else:
@@ -48,7 +47,7 @@ def _brute(p, convention, transform, seen, path, max_positions) -> Fraction:
             )
         below = path | {p}
         values = [
-            [_brute(cell, convention, transform, seen, below, max_positions) for cell in row]
+            [_brute(cell, convention, transform, seen, below) for cell in row]
             for row in matrix.cells
         ]
         value = support_enumeration_value(values)

@@ -49,9 +49,11 @@ def test_sequence_matches_engine(a, b):
 
 
 def test_closed_form_matches_recurrence():
-    seq = sq_expected_sequence(1, 2, 25)
-    for n in range(26):
+    seq = sq_expected_sequence(1, 2, 2000)
+    for n in range(2001):
         assert sq12_closed_form(n) == seq[n]
+    for n in range(41):
+        assert evaluate(sq({1}, {2}, n), NORMAL, memo=MEMO).ex == sq12_closed_form(n)
 
 
 def test_closed_form_limit():

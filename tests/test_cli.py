@@ -283,6 +283,17 @@ def test_reduce_size_limit_exit_3(capsys):
     assert err == "evaluation error: the reduced game runs to 2089127009 characters, over 1000000\n"
 
 
+def test_reduce_size_limit_at_its_edge(capsys, monkeypatch):
+    # The reduced sq{1}{2}(6) runs to exactly 3825 characters.
+    monkeypatch.setattr(cli, "_REDUCE_TEXT_LIMIT", 3825)
+    code, out, err = run(capsys, "reduce", "sq{1}{2}(6)")
+    assert code == 0 and err == "" and len(out.splitlines()[0]) == 3825
+    monkeypatch.setattr(cli, "_REDUCE_TEXT_LIMIT", 3824)
+    code, out, err = run(capsys, "reduce", "sq{1}{2}(6)")
+    assert code == 3 and out == ""
+    assert err == "evaluation error: the reduced game runs to 3825 characters, over 3824\n"
+
+
 def test_table_syntax_error_caret_under_family(capsys):
     code, out, err = run(capsys, "table", "sq{1}{2")
     assert code == 2 and out == ""

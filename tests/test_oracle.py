@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from simulgame import engine, matgame
+from simulgame import engine, matgame, oracle
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile
 from simulgame.errors import SizeLimit
 from simulgame.gexpr import parse
@@ -46,9 +46,10 @@ def test_matrix_size_bound():
         brute_ex(clobber_complete(7), SCORING)
 
 
-def test_position_count_bound():
+def test_position_count_bound(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_POSITIONS", 10)
     with pytest.raises(SizeLimit):
-        brute_ex(sq({1}, {2}, 30), NORMAL, max_positions=10)
+        brute_ex(sq({1}, {2}, 30), NORMAL)
 
 
 def test_profiles():
@@ -100,7 +101,8 @@ def _random_component(rng):
     return outcome_literal(rng.choice("LDR"))
 
 
-def test_random_differential_campaign():
+def test_random_differential_campaign(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_POSITIONS", 3000)
     rng = random.Random(424242)
     builders = (disjunctive, conjunctive, continued_conjunctive)
     checked = 0
@@ -112,7 +114,7 @@ def test_random_differential_campaign():
             position = build(_random_component(rng), _random_component(rng))
         for convention in (NORMAL, SCORING):
             try:
-                want = brute_ex(position, convention, max_positions=3000)
+                want = brute_ex(position, convention)
             except SizeLimit:
                 continue
             assert evaluate(position, convention, memo=MEMO).ex == want
