@@ -14,7 +14,7 @@ from fractions import Fraction
 from .engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile
 from .errors import BadParameters, BadStalk
 from .matgame import eliminate_dominated
-from .position import ExplicitGame, Position
+from .position import ExplicitGame, Position, _postorder
 
 LESS, EQUAL, GREATER, INCOMPARABLE = "Less", "Equal", "Greater", "Incomparable"
 
@@ -26,37 +26,37 @@ class ComparisonResult:
 
 
 def reduce_game(p: Position, convention: str = NORMAL, *, memo: Memo | None = None) -> Position:
-    """Recursively eliminate dominated pure strategies, bottom up.
+    """Eliminate dominated pure strategies throughout the game, bottom up.
 
     The result is an explicit game with the surviving options; its expected
-    value in isolation equals the original's and is left in the memo (a fresh
-    one without a memo): read it there, as the result's keys spell a shared
-    subgame once per path to it.  Equal subgames are reduced once per call
-    and share one result, keyed by the positions themselves, not by keys:
+    value in isolation equals the original's.  A subgame is reduced after all
+    its successors (Left's options, Right's, then the cells row by row), so
+    each ``evaluate`` finds its cells in the memo (a fresh one without a
+    memo), and a terminal comes back as itself, unevaluated.  Any other root
+    leaves its value in the memo: read it there, as the result's keys spell a
+    shared subgame once per path to it.  Equal subgames are reduced once per
+    call and share one result, keyed by the positions themselves, not by keys:
     one key can stand for boards whose options come in other orders.
     """
     memo = memo if memo is not None else Memo()
-    reduced: dict[Position, Position] = {}
 
-    def reduce(q: Position) -> Position:
-        if q in reduced:
-            return reduced[q]
+    def successors(q: Position) -> list:
+        cells = q.move_matrix().cells
+        moves = [g for _, g in q.options(True) + q.options(False)] if cells else []
+        return moves + [c for row in cells for c in row]
+
+    def rebuild(q: Position, reduced: list) -> Position:
+        if not reduced:  # only a terminal has no successors
+            return q
         report = evaluate(q, convention, memo=memo)
-        if report.terminal:
-            out = q
-        else:
-            _, keep_rows, keep_cols = eliminate_dominated(report.values)
-            # Matrix rows and columns follow option order.
-            cells = q.move_matrix().cells
-            lo, ro = q.options(True), q.options(False)
-            lefts = tuple(reduce(lo[i][1]) for i in keep_rows)
-            rights = tuple(reduce(ro[j][1]) for j in keep_cols)
-            table = tuple(tuple(reduce(cells[i][j]) for j in keep_cols) for i in keep_rows)
-            out = ExplicitGame(lefts, rights, table)
-        reduced[q] = out
-        return out
+        _, keep_rows, keep_cols = eliminate_dominated(report.values)
+        # Matrix rows and columns follow option order.
+        lo, ro = len(report.row_labels), len(report.col_labels)
+        lefts, rights, cells = reduced[:lo], reduced[lo:lo + ro], reduced[lo + ro:]
+        table = tuple(tuple(cells[i * ro + j] for j in keep_cols) for i in keep_rows)
+        return ExplicitGame(tuple(lefts[i] for i in keep_rows), tuple(rights[j] for j in keep_cols), table)
 
-    return reduce(p)
+    return _postorder(p, successors, rebuild, key=lambda q: q)
 
 
 def compare_continued_scoring(g: Position, h: Position, *, memo: Memo | None = None) -> ComparisonResult:

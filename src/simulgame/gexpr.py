@@ -34,7 +34,9 @@ import re
 from .errors import (
     BadLiteral, BadParameters, GameSyntaxError, MixedOperators, SimulgameError, UnknownRuleset
 )
-from .position import ExplicitGame, Position, ScoreLiteral, outcome_literal, require_position, score
+from .position import (
+    ExplicitGame, Position, ScoreLiteral, _postorder, outcome_literal, require_position, score
+)
 from .rulesets import (
     BUILTIN_BOARDS,
     ClobberPosition,
@@ -51,8 +53,8 @@ from .sums import SUM_KINDS, SumPosition
 
 # The deepest nesting ``parse`` accepts: the top-level expression is one
 # level, and each parenthesis or list item opens one more.  The parser, and
-# the key, evaluation and rendering of an explicit game, recurse once per
-# level, so deeper text is a syntax error rather than a RecursionError.
+# the key and evaluation of an explicit game, recurse once per level, so
+# deeper text is a syntax error rather than a RecursionError.
 MAX_NESTING = 100
 
 
@@ -336,7 +338,16 @@ def render_position(p) -> str:
     their canonical keys, which are not reparseable.  A clobber board prints
     its own edges and occupancy instead, since its key is relabelled.
     """
-    return "".join(s if isinstance(s, str) else render_position(s) for s in _parts(p))
+    out, stack = [], [iter(_parts(p))]
+    while stack:
+        for part in stack[-1]:
+            if not isinstance(part, str):
+                stack.append(iter(_parts(part)))
+                break
+            out.append(part)
+        else:
+            stack.pop()
+    return "".join(out)
 
 
 def _parts(p) -> list:
@@ -378,20 +389,9 @@ def _joined(groups, sep: str) -> list:
 
 
 def _rendered_length(p) -> int:
-    """``len(render_position(p))``, summed over its parts without the text or
-    recursion, once per distinct subgame.  Lengths are keyed by ``id``: the
-    hash of an explicit game walks its whole tree, once per path to a shared
-    subgame."""
-    lengths: dict = {}
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if id(q) in lengths:
-            continue
-        parts = _parts(q)
-        pending = [g for g in parts if not isinstance(g, str) and id(g) not in lengths]
-        if pending:
-            stack += [q, *pending]
-        else:
-            lengths[id(q)] = sum(len(s) if isinstance(s, str) else lengths[id(s)] for s in parts)
-    return lengths[id(p)]
+    """``len(render_position(p))``, summed over its parts without the text,
+    once per distinct subgame.  Lengths are keyed by ``id``: the hash of an
+    explicit game walks its whole tree, once per path to a shared subgame."""
+    subgames = lambda q: [g for g in _parts(q) if not isinstance(g, str)]
+    text = lambda q: sum(len(s) for s in _parts(q) if isinstance(s, str))
+    return _postorder(p, subgames, lambda q, lengths: text(q) + sum(lengths))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BadParameters, IllegalMove, NotTerminal, UnknownRuleset
+from .errors import BadParameters, IllegalMove, LoopyGame, NotTerminal, UnknownRuleset
 
 OUTCOME_LEFT = "L"
 OUTCOME_RIGHT = "R"
@@ -186,39 +186,47 @@ def v_a(p: Position) -> int:
     Positive when only Left can move, negative when only Right can; the
     magnitude is the longest chain of unilateral moves that never opens a
     move for the opponent.  Each position of the chain is expanded once per
-    call.  Raises NotTerminal while both players can move.
+    call.  Raises NotTerminal while both players can move, and LoopyGame if
+    a position comes back along the chain.
     """
     require_position(p)
     reading = p._mobility()
     if reading.left and reading.right:
         raise NotTerminal("v_a needs a position where some player cannot move")
-    if reading.left:
-        return _chain(p, True)
-    return -_chain(p, False)
+    left = reading.left
+    opponent = "right" if left else "left"
+    # Only the options that keep the opponent moveless extend the chain.
+    onward = lambda q: [c for _, c in q.options(left) if not getattr(c._mobility(), opponent)]
+    chain = _postorder(p, onward, lambda q, chains: 1 + max(chains, default=-1), key=lambda q: q)
+    return chain if left else -chain
 
 
-def _chain(p: Position, left: bool) -> int:
-    """Longest unilateral chain from p, on a stack of [position, unread
-    options, best gain] frames.  ``gain`` maps each child seen in this call to
-    what a move into it adds: 0 if it lets the opponent move, else 1 + its chain."""
-    gain: dict = {}
-    stack = [[p, iter(p.options(left)), 0]]
+def _postorder(root, children, combine, key=id):
+    """``combine(node, results of children(node) in order)`` from the leaves up
+    to ``root``, on a stack of (node, key, unread children, results) frames.
+    Each node is combined once per call, nodes are told apart by ``key``, and
+    a node met again below itself raises LoopyGame."""
+    done: dict = {}
+    path: set = set()
+    stack = [(None, None, iter([root]), [])]  # the bottom frame's one child is root
     while True:
-        frame = stack[-1]
-        for _, child in frame[1]:
-            if child not in gain:
-                reading = child._mobility()
-                if not (reading.right if left else reading.left):
-                    stack.append([child, iter(child.options(left)), 0])
-                    break
-                gain[child] = 0
-            frame[2] = max(frame[2], gain[child])
+        node, k, unread, results = stack[-1]
+        for kid in unread:
+            kid_key = key(kid)
+            if kid_key in path:
+                raise LoopyGame("position repeats along a play line")
+            if kid_key not in done:
+                path.add(kid_key)
+                stack.append((kid, kid_key, iter(children(kid)), []))
+                break
+            results.append(done[kid_key])
         else:
+            if node is None:
+                return results[0]
             stack.pop()
-            if not stack:
-                return frame[2]
-            gain[frame[0]] = 1 + frame[2]
-            stack[-1][2] = max(stack[-1][2], gain[frame[0]])
+            path.discard(k)
+            done[k] = combine(node, results)
+            stack[-1][3].append(done[k])
 
 
 @dataclass(frozen=True)

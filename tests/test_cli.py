@@ -283,6 +283,14 @@ def test_reduce_size_limit_exit_3(capsys):
     assert err == "evaluation error: the reduced game runs to 2089127009 characters, over 1000000\n"
 
 
+def test_reduce_deep_strip_meets_the_size_limit(capsys):
+    # 400 moves deep: the reduction walks bottom up, so neither it nor the
+    # engine under it recurses once per level, and the text bound decides.
+    code, out, err = run(capsys, "reduce", "sq{1}{1}(400)")
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert re.fullmatch(r"evaluation error: the reduced game runs to \d+ characters, over 1000000\n", err)
+
+
 def test_reduce_size_limit_at_its_edge(capsys, monkeypatch):
     # The reduced sq{1}{2}(6) runs to exactly 3825 characters.
     monkeypatch.setattr(cli, "_REDUCE_TEXT_LIMIT", 3825)

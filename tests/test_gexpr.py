@@ -197,6 +197,15 @@ def test_rendered_length_of_shared_reductions():
         assert _rendered_length(reduced) == len(render_position(reduced))
 
 
+def test_render_and_length_of_a_deep_chain():
+    # 3,000 explicit games deep, far past the recursion limit: each level
+    # holds the one below as Left's only option.
+    deep = score(0)
+    for _ in range(3000):
+        deep = ExplicitGame((deep,), (score(0),), ((score(0),),))
+    assert len(render_position(deep)) == _rendered_length(deep) == 96004
+
+
 def test_render_position_roundtrips_literals():
     for text in ("sq{1}{2}(3)", "sq'{1}{2}(5)", "hb[BRB]", "cl[OXO]", "s(4)"):
         p = parse(text)

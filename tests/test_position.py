@@ -4,8 +4,9 @@ among its player's options, ``joint_option`` reads the move matrix, and
 
 import pytest
 
-from simulgame.errors import BadParameters, IllegalMove, NotTerminal
-from simulgame.position import ExplicitGame, score
+from simulgame.engine import SCORING, evaluate
+from simulgame.errors import BadParameters, IllegalMove, LoopyGame, NotTerminal
+from simulgame.position import ExplicitGame, Position, score, v_a
 from simulgame.rulesets import clobber_complete, clobber_strip, hb_forest, sq
 from simulgame.sums import conjunctive, continued_conjunctive, disjunctive
 
@@ -103,3 +104,26 @@ def test_terminal_score_is_the_only_public_score(p):
 def test_terminal_score_checks_that_play_is_over():
     with pytest.raises(NotTerminal):
         clobber_strip("XO").terminal_score()
+
+
+class _OneSidedLoop(Position):
+    """Left's only option is the position itself; Right has none."""
+
+    ruleset_tag = "loop"
+
+    def options(self, left):
+        return (("l", self),) if left else ()
+
+    def _key_text(self):
+        return "one-sided-loop"
+
+
+def test_move_count_score_detects_a_loop():
+    # Without the guard the chain would push the same position forever.
+    p = _OneSidedLoop()
+    with pytest.raises(LoopyGame):
+        v_a(p)
+    with pytest.raises(LoopyGame):
+        p.terminal_score()
+    with pytest.raises(LoopyGame):
+        evaluate(p, SCORING)

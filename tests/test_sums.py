@@ -8,6 +8,7 @@ import pytest
 
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile, outcome
 from simulgame.errors import BadParameters, NotTerminal
+from simulgame.gexpr import parse
 from simulgame.position import ExplicitGame, outcome_literal, score, v_a
 from simulgame.rulesets import SqPosition, clobber_strip, hb_stalk, sq
 from simulgame.sums import SumPosition, conjunctive, continued_conjunctive, disjunctive
@@ -177,6 +178,17 @@ def test_sum_flattening_and_commutativity():
     assert left == right
     assert left.components == right.components
     assert len(left.components) == 3
+
+
+def test_explicit_component_successors_flatten():
+    # An explicit component can offer a sum of the outer kind: Left's option
+    # and the one cell both flatten into one three-component sum.
+    p = parse("x{L:[s(1) + s(2)] | R:[s(0)] | LR:[[s(1) + s(2)]]} + s(0)")
+    (_, left_option), = p.options(True)
+    (cell,), = p.move_matrix().cells
+    for q in (left_option, cell):
+        assert q.canonical_key() == "+(s(0);s(1);s(2))"
+        assert len(q.components) == 3
 
 
 def test_value_commutative_and_associative():
