@@ -32,11 +32,12 @@ def reduce_game(p: Position, convention: str = NORMAL, *, memo: Memo | None = No
     value in isolation equals the original's.  A subgame is reduced after all
     its successors (Left's options, Right's, then the cells row by row), so
     each ``evaluate`` finds its cells in the memo (a fresh one without a
-    memo), and a terminal comes back as itself, unevaluated.  Any other root
-    leaves its value in the memo: read it there, as the result's keys spell a
-    shared subgame once per path to it.  Equal subgames are reduced once per
-    call and share one result, keyed by the positions themselves, not by keys:
-    one key can stand for boards whose options come in other orders.
+    memo) and walks no deeper than them, and a terminal comes back as itself,
+    unevaluated.  Any other root leaves its value in the memo: read it there,
+    as the result's keys spell a shared subgame once per path to it.  Equal
+    subgames are reduced once per call and share one result, keyed by the
+    positions themselves, not by keys: one key can stand for boards whose
+    options come in other orders.
     """
     memo = memo if memo is not None else Memo()
 
@@ -56,7 +57,8 @@ def reduce_game(p: Position, convention: str = NORMAL, *, memo: Memo | None = No
         table = tuple(tuple(cells[i * ro + j] for j in keep_cols) for i in keep_rows)
         return ExplicitGame(tuple(lefts[i] for i in keep_rows), tuple(rights[j] for j in keep_cols), table)
 
-    return _postorder(p, successors, rebuild, key=lambda q: q)
+    (reduced,) = _postorder([p], successors, rebuild, key=lambda q: q)
+    return reduced
 
 
 def compare_continued_scoring(g: Position, h: Position, *, memo: Memo | None = None) -> ComparisonResult:

@@ -215,10 +215,12 @@ def main(argv=None) -> int:
     """Run one subcommand; the only place a failure becomes an exit code.
 
     A syntax error prints a caret under the command's text, the expression
-    or, for ``table``, the family.  ``BadCordonSpec``, ``RecursionError`` and
-    other ``SimulgameError``s still propagate: the benchmark's known-crash
-    test pins ``hb cordon(0; )`` and ``sq{1}{2}(1500)`` as failures.  ROADMAP
-    item 3 adds them to this handler once that pin changes.
+    or, for ``table``, the family.  ``BadCordonSpec`` and the other
+    ``SimulgameError``s not caught here still propagate: the benchmark's
+    known-crash test pins ``hb cordon(0; )`` as a failure.  ROADMAP item 3
+    adds them to this handler once that pin changes.  No walk over a game
+    recurses, so a deep game such as ``sq{1}{2}(1500)`` ends in its value
+    rather than a ``RecursionError``.
     """
     args = build_parser().parse_args(argv)
     try:

@@ -1,36 +1,39 @@
-"""Recursive exact evaluation of positions.
+"""Exact evaluation of positions, folded bottom up on an explicit stack.
 
 Evaluation reads three things from a position: its canonical key, its move
 matrix, and its terminal payoff; an empty matrix marks a terminal position.
-One memoised walk serves every query.  It carries a tuple of payoff
-transforms: each node builds its key and matrix once, reads its terminal
-payoff once at a leaf, and solves its matrix once per transform.  The memo
-holds values only, keyed by (canonical key, convention, transform): a key may
+One memoised walk serves every query: ``position._postorder``, the library's
+one post-order fold, so a game of any depth evaluates without recursion.
+It carries a tuple of payoff transforms: each node builds its key and
+matrix once, reads its terminal payoff once at a leaf, and solves its matrix
+once per transform.  Its table of finished nodes is the memo, which holds
+values only, keyed by (canonical key, convention, transform): a key may
 stand for several isomorphic boards whose options come in different orders,
-so mixes are never stored.  Because the walk needs values only, it first
-checks each matrix for a pure saddle point (maximin equal to minimax) and
-takes that entry as the exact value; only a matrix without one goes to the
-simplex, ``game_value``.  ``evaluate`` always solves the root's own matrix
-with the simplex, takes only its cells' values from the walk, and hands back
-the root's labelled value matrix with the value and mixes.
-``guarantee_profile`` is one walk over the two security transforms (win
-payoffs only) and gives each player's guaranteed winning probability;
-``outcome`` is read from that profile.  A call without a memo uses a fresh
-one of its own.
+so mixes are never stored.  The walk first checks each matrix for a pure
+saddle point (maximin equal to minimax) and takes that entry as the exact
+value; only a matrix without one goes to the simplex, ``game_value``.
+``evaluate`` always solves the root's own matrix with the simplex, takes
+only its cells' values from the walk, and hands back the root's labelled
+value matrix with the value and mixes.  ``guarantee_profile`` is one walk
+over the two security transforms (win payoffs only) and gives each player's
+guaranteed winning probability; ``outcome`` is read from that profile.  A
+call without a memo uses a fresh one of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import methodcaller
 
-from .errors import LoopyGame
 from .matgame import game_value, saddle_value
 from .position import (
     OUTCOME_DRAW,
     OUTCOME_LEFT,
     OUTCOME_RIGHT,
     Position,
+    _postorder,
     require_position,
 )
 
@@ -135,69 +138,64 @@ def evaluate(
     """
     _check(p, convention)
     table = memo if memo is not None else Memo()
-    key = p.canonical_key()
     transforms = (transform,)
     matrix = p.move_matrix()
     if matrix.is_empty:
         report = ValueReport(_terminal_payoff(p, convention, transforms)[0], (), ())
     else:
-        path = {key}
-        values = [
-            [_value(cell, convention, transforms, table, path)[0] for cell in row]
-            for row in matrix.cells
-        ]
+        cells = iter(_walk(chain.from_iterable(matrix.cells), convention, transforms, table))
+        values = [[next(cells)[0] for _ in row] for row in matrix.cells]
         sol = game_value(values)
         report = ValueReport(
             sol.value, sol.row_mix, sol.col_mix,
             matrix.row_labels, matrix.col_labels, tuple(map(tuple, values)),
         )
-    table.put((key, convention, transform), report.ex)
+    table.put((p.canonical_key(), convention, transform), report.ex)
     return report
 
 
-def _value(p, convention, transforms, memo, path) -> tuple[Fraction, ...]:
-    """Values of p under each transform, read from or stored in the memo.
+def _walk(roots, convention, transforms, memo: Memo) -> list:
+    """Values of each root under each transform, folded on ``_postorder``.
+    Its table of finished nodes, by canonical key, reads through ``Memo.get``
+    and writes through ``Memo.put``.  A node is finished only when every
+    transform hits, so a partial hit is computed again in full."""
+    read, write = memo.get, memo.put
+    widths = []  # matrix widths of the expanded nodes on the walk's stack, innermost last
 
-    Only a hit on every transform skips the node; a partial hit computes it
-    again in full, and ``Memo.put`` checks the values it already held.  The
-    recursion keeps no mixes, so a matrix with a pure saddle point is valued
-    by that entry without the simplex.  Each matrix is built inline to keep
-    the stack shallow.
-    """
-    key = p.canonical_key()
-    hits = []
-    for t in transforms:
-        hit = memo.get((key, convention, t))
-        if hit is None:
-            break
-        hits.append(hit)
-    else:
-        return tuple(hits)
-    if key in path:
-        raise LoopyGame(f"position repeats along a play line: {key}")
-    matrix = p.move_matrix()
-    if matrix.is_empty:
-        values = _terminal_payoff(p, convention, transforms)
-    else:
-        path.add(key)
-        cells = [
-            [_value(cell, convention, transforms, memo, path) for cell in row]
-            for row in matrix.cells
-        ]
-        path.discard(key)
-        values = tuple(
-            _matrix_value([[cell[i] for cell in row] for row in cells])
-            for i in range(len(transforms))
+    def lookup(key):
+        values = []
+        for t in transforms:
+            value = read((key, convention, t))
+            if value is None:
+                return None
+            values.append(value)
+        return values
+
+    def store(key, values):
+        for t, value in zip(transforms, values):
+            write((key, convention, t), value)
+
+    def expand(q):
+        matrix = q.move_matrix()
+        widths.append(len(matrix.col_labels))
+        return chain.from_iterable(matrix.cells)
+
+    def combine(q, cells):
+        width = widths.pop()
+        if not cells:
+            return _terminal_payoff(q, convention, transforms)
+        return tuple(
+            _matrix_value([[c[t] for c in cells[i:i + width]] for i in range(0, len(cells), width)])
+            for t in range(len(transforms))
         )
-    for t, value in zip(transforms, values):
-        memo.put((key, convention, t), value)
-    return values
+
+    return _postorder(roots, expand, combine, methodcaller("canonical_key"), (lookup, store))
 
 
 def _matrix_value(rows) -> Fraction:
     """Exact value of a matrix inside the walk: its saddle entry if it has
-    one, else the simplex value.  The root, whose mixes are reported, is
-    never valued here."""
+    one, else the simplex value.  The walk keeps no mixes, so a saddle needs
+    no simplex; the root, whose mixes are reported, is never valued here."""
     value = saddle_value(rows)
     return game_value(rows).value if value is None else value
 
@@ -211,8 +209,7 @@ def guarantee_profile(
     solved for.  Without a memo the call uses a fresh one.
     """
     _check(p, convention)
-    table = memo if memo is not None else Memo()
-    ell, arr = _value(p, convention, (ELL, ARR), table, set())
+    ((ell, arr),) = _walk([p], convention, (ELL, ARR), memo if memo is not None else Memo())
     return GuaranteeProfile(ell, -arr)
 
 

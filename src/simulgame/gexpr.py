@@ -52,9 +52,9 @@ from .rulesets import (
 from .sums import SUM_KINDS, SumPosition
 
 # The deepest nesting ``parse`` accepts: the top-level expression is one
-# level, and each parenthesis or list item opens one more.  The parser, and
-# the key and evaluation of an explicit game, recurse once per level, so
-# deeper text is a syntax error rather than a RecursionError.
+# level, and each parenthesis or list item opens one more.  The parser
+# recurses once per level, so deeper text is a syntax error rather than a
+# RecursionError; keying, evaluating and rendering a game need no recursion.
 MAX_NESTING = 100
 
 
@@ -394,4 +394,5 @@ def _rendered_length(p) -> int:
     explicit game walks its whole tree, once per path to a shared subgame."""
     subgames = lambda q: [g for g in _parts(q) if not isinstance(g, str)]
     text = lambda q: sum(len(s) for s in _parts(q) if isinstance(s, str))
-    return _postorder(p, subgames, lambda q, lengths: text(q) + sum(lengths))
+    (length,) = _postorder([p], subgames, lambda q, lengths: text(q) + sum(lengths))
+    return length

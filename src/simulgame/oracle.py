@@ -4,8 +4,12 @@ Shares only the position model with the engine: backward induction here
 uses exhaustive support enumeration for every matrix value, never the
 simplex solver, and keeps its own table.  That table is keyed on the
 positions themselves (field-wise equality), not on canonical keys, so the
-engine's isomorphism-reduced keys never decide a value here.  Bounded to
-small games on purpose; raises SizeLimit beyond the bounds.
+engine's isomorphism-reduced keys never decide a value here.  It also
+keeps its own recursive walk, with its own loop check, instead of the
+library's ``position._postorder``, which the engine folds on: a fault in
+that walk would otherwise reach both sides of the comparison and pass
+certification.  Bounded to small games on purpose; raises SizeLimit beyond
+the bounds.
 """
 
 from __future__ import annotations

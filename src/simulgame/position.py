@@ -197,36 +197,38 @@ def v_a(p: Position) -> int:
     opponent = "right" if left else "left"
     # Only the options that keep the opponent moveless extend the chain.
     onward = lambda q: [c for _, c in q.options(left) if not getattr(c._mobility(), opponent)]
-    chain = _postorder(p, onward, lambda q, chains: 1 + max(chains, default=-1), key=lambda q: q)
+    (chain,) = _postorder([p], onward, lambda q, chains: 1 + max(chains, default=-1), key=lambda q: q)
     return chain if left else -chain
 
 
-def _postorder(root, children, combine, key=id):
-    """``combine(node, results of children(node) in order)`` from the leaves up
-    to ``root``, on a stack of (node, key, unread children, results) frames.
-    Each node is combined once per call, nodes are told apart by ``key``, and
-    a node met again below itself raises LoopyGame."""
+def _postorder(roots, children, combine, key=id, table=None):
+    """``combine(node, results of children(node) in order)`` from the leaves up to
+    each of ``roots``, whose results it returns, on an explicit stack.  ``table``
+    is the (lookup, store) pair of finished results by ``key``, a fresh dict's by
+    default.  A node met again below itself, told apart by ``key``, raises LoopyGame."""
     done: dict = {}
+    lookup, store = table or (done.get, done.__setitem__)
     path: set = set()
-    stack = [(None, None, iter([root]), [])]  # the bottom frame's one child is root
+    stack = [(None, None, iter(roots), [])]  # the bottom frame's children are the roots
     while True:
         node, k, unread, results = stack[-1]
         for kid in unread:
             kid_key = key(kid)
-            if kid_key in path:
-                raise LoopyGame("position repeats along a play line")
-            if kid_key not in done:
+            if (result := lookup(kid_key)) is None:
+                if kid_key in path:
+                    raise LoopyGame(f"position repeats along a play line: {kid.canonical_key()}")
                 path.add(kid_key)
                 stack.append((kid, kid_key, iter(children(kid)), []))
                 break
-            results.append(done[kid_key])
+            results.append(result)
         else:
             if node is None:
-                return results[0]
+                return results
             stack.pop()
             path.discard(k)
-            done[k] = combine(node, results)
-            stack[-1][3].append(done[k])
+            result = combine(node, results)
+            store(k, result)
+            stack[-1][3].append(result)
 
 
 @dataclass(frozen=True)
@@ -279,12 +281,25 @@ class ExplicitGame(Position):
         return self.table[int(left_label[1:])][int(right_label[1:])]
 
     def _key_text(self) -> str:
-        ls = ",".join(g.canonical_key() for g in self.lefts)
-        rs = ",".join(g.canonical_key() for g in self.rights)
-        ts = ";".join(
-            ",".join(g.canonical_key() for g in row) for row in self.table
-        )
-        return f"x(L[{ls}]|R[{rs}]|T[{ts}])"
+        """Spelled on ``_postorder`` from the subgames' keys, so a deep game
+        needs no recursion.  Each explicit subgame keeps the key spelled for
+        it, and one whose key is already built is not walked into."""
+        unkeyed = lambda g: isinstance(g, ExplicitGame) and g._key is None
+
+        def subgames(g):
+            return [*g.lefts, *g.rights, *(c for row in g.table for c in row)] if unkeyed(g) else ()
+
+        def spell(g, keys):
+            if not unkeyed(g):
+                return g.canonical_key()
+            lo, ro = len(g.lefts), len(g.rights)
+            ls, rs, cells = ",".join(keys[:lo]), ",".join(keys[lo:lo + ro]), keys[lo + ro:]
+            ts = ";".join(",".join(cells[i * ro:i * ro + ro]) for i in range(len(g.table)))
+            object.__setattr__(g, "_key", f"x(L[{ls}]|R[{rs}]|T[{ts}])")
+            return g._key
+
+        (text,) = _postorder([self], subgames, spell)
+        return text
 
 
 def outcome_literal(which: str) -> Position:

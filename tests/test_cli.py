@@ -192,6 +192,15 @@ def test_eval_long_one_sided_chain(capsys):
     assert (code, out, err) == (0, "1500\n", "")
 
 
+def test_eval_deep_strips(capsys):
+    # The engine walks a 1500-move strip on an explicit stack.
+    code, out, err = run(capsys, "eval", "sq{1}{2}(1500)")
+    assert (code, out, err) == (0, f"{analysis.sq12_closed_form(1500)}\n", "")
+    code, out, err = run(capsys, "eval", "sq{1}{2}(700)", "--measure", "index")
+    assert code == 0 and err == ""
+    assert out == f"[{analysis.sq12_closed_form(700)}, 0]\n"
+
+
 def test_eval_first_bad_literal_wins(capsys):
     code, out, err = run(capsys, "eval", "sq{0}{2}(3) + cl:K1")
     assert code == 2 and out == ""

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from simulgame import engine
-from simulgame.analysis import clobber_kn_expected
+from simulgame.analysis import clobber_kn_expected, sq12_closed_form
 from simulgame.engine import (
     ARR,
     ELL,
@@ -22,7 +22,7 @@ from simulgame.engine import (
 from simulgame.errors import LoopyGame, UnknownRuleset
 from simulgame.gexpr import parse
 from simulgame.matgame import game_value, saddle_value, support_enumeration_value
-from simulgame.position import Position, score
+from simulgame.position import ExplicitGame, Position, outcome_literal, score
 from simulgame.rulesets import (
     ClobberPosition,
     clobber_complete,
@@ -181,9 +181,26 @@ class _Loop(Position):
         return "loop"
 
 
+class _OverLoop(Position):
+    """Its one cell is a _Loop, so the loop starts one level below the root."""
+
+    ruleset_tag = "over-loop"
+
+    def options(self, left):
+        return (("l" if left else "r", _Loop()),)
+
+    def _joint(self, left_label, right_label):
+        return _Loop()
+
+    def canonical_key(self):
+        return "over-loop"
+
+
 def test_loop_detection():
-    with pytest.raises(LoopyGame):
-        evaluate(_Loop(), NORMAL, memo=Memo())
+    for game in (_Loop(), _OverLoop()):
+        for query in (evaluate, guarantee_profile, outcome):
+            with pytest.raises(LoopyGame, match=r"^position repeats along a play line: loop$"):
+                query(game, NORMAL, memo=Memo())
 
 
 def test_foreign_objects_rejected():
@@ -428,3 +445,57 @@ def test_root_mixes_follow_the_root_under_a_shared_memo():
     assert evaluate(clobber_strip("OXOO"), SCORING, memo=Memo()).left_mix != evaluate(
         clobber_strip("OOXO"), SCORING, memo=Memo()
     ).left_mix
+
+
+def test_deep_strips_evaluate_without_recursion():
+    assert evaluate(sq({1}, {2}, 5000)).ex == sq12_closed_form(5000)
+    deep = sq({1}, {2}, 2000)
+    assert guarantee_profile(deep) == engine.GuaranteeProfile(sq12_closed_form(2000), F(0))
+    assert outcome(deep) == "L"
+
+
+def test_deep_explicit_game_keys_and_evaluates():
+    """A 3000-deep explicit game, one cell per level: its key is spelled on an
+    explicit stack, and a subgame whose key is already built is not walked."""
+    dead, bottom = score(0), outcome_literal("L")
+    levels = [bottom]
+    for _ in range(3000):
+        levels.append(ExplicitGame((dead,), (dead,), ((levels[-1],),)))
+    top = levels[-1]
+    wrap = "x(L[s(0)]|R[s(0)]|T["
+    assert top.canonical_key() == wrap * 3000 + bottom.canonical_key() + "])" * 3000
+    assert levels[1500]._key == wrap * 1500 + bottom.canonical_key() + "])" * 1500
+    fresh = ExplicitGame((dead,), (dead,), ((levels[1500],),))
+    object.__setattr__(levels[1500], "_key", "cached")
+    assert fresh.canonical_key() == wrap + "cached])"
+    object.__setattr__(levels[1500], "_key", None)
+    assert evaluate(top).ex == 1 and evaluate(top, SCORING).ex == 1
+    assert guarantee_profile(top) == engine.GuaranteeProfile(F(1), F(0))
+    assert outcome(top) == "L"
+
+
+def test_memo_traffic_is_pinned(monkeypatch):
+    """Memo.get and Memo.put calls per query: a walk that reads a cell's memo
+    entry twice, or stores a node twice, moves these counts."""
+    counts = {"get": 0, "put": 0}
+    get, put = Memo.get, Memo.put
+
+    def counting_get(memo, key):
+        counts["get"] += 1
+        return get(memo, key)
+
+    def counting_put(memo, key, value):
+        counts["put"] += 1
+        put(memo, key, value)
+
+    monkeypatch.setattr(Memo, "get", counting_get)
+    monkeypatch.setattr(Memo, "put", counting_put)
+    queries = [
+        (lambda: evaluate(parse("sq{1,2}{1,3}(7) ^ sq{1,2}{2,3}(6)"), NORMAL, memo=Memo()), 3168, 31),
+        (lambda: evaluate(parse("cl:K6"), SCORING, memo=Memo()), 55, 10),
+        (lambda: guarantee_profile(parse("sq{1,2}{1,3}(8)"), memo=Memo()), 209, 18),
+    ]
+    for query, gets, puts in queries:
+        counts.update(get=0, put=0)
+        query()
+        assert counts == {"get": gets, "put": puts}
