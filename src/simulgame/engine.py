@@ -6,12 +6,13 @@ One memoised walk serves every query: ``position._postorder``, the library's
 one post-order fold, so a game of any depth evaluates without recursion.
 It carries a tuple of payoff transforms: each node builds its key and
 matrix once, reads its terminal payoff once at a leaf, and solves its matrix
-once per transform.  Its table of finished nodes is the memo, which holds
-values only, keyed by (canonical key, convention, transform): a key may
-stand for several isomorphic boards whose options come in different orders,
-so mixes are never stored.  The walk first checks each matrix for a pure
-saddle point (maximin equal to minimax) and takes that entry as the exact
-value; only a matrix without one goes to the simplex, ``game_value``.
+once per transform.  Its table of finished nodes is the memo, with one entry
+per node and walk: the node's values, one per transform, keyed by
+(canonical key, convention, transforms).  A key may stand for several
+isomorphic boards whose options come in different orders, so mixes are
+never stored.  The walk first checks each matrix for a pure saddle point
+(maximin equal to minimax) and takes that entry as the exact value; only a
+matrix without one goes to the simplex, ``game_value``.
 ``evaluate`` always solves the root's own matrix with the simplex, takes
 only its cells' values from the walk, and hands back the root's labelled
 value matrix with the value and mixes.  ``guarantee_profile`` is one walk
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import methodcaller
 
 from .matgame import game_value, saddle_value
 from .position import (
@@ -75,7 +75,9 @@ class GuaranteeProfile:
 
 
 class Memo:
-    """Value table keyed by (canonical key, convention, transform).
+    """Value table with one entry per node and walk: the tuple of the node's
+    values, one per transform, keyed by (canonical key, convention,
+    transforms).
 
     It stores exact values only, never mixes or reports, so one entry can
     serve every board that shares the key.  Insertion is idempotent:
@@ -150,30 +152,16 @@ def evaluate(
             sol.value, sol.row_mix, sol.col_mix,
             matrix.row_labels, matrix.col_labels, tuple(map(tuple, values)),
         )
-    table.put((p.canonical_key(), convention, transform), report.ex)
+    table.put((p.canonical_key(), convention, transforms), (report.ex,))
     return report
 
 
 def _walk(roots, convention, transforms, memo: Memo) -> list:
-    """Values of each root under each transform, folded on ``_postorder``.
-    Its table of finished nodes, by canonical key, reads through ``Memo.get``
-    and writes through ``Memo.put``.  A node is finished only when every
-    transform hits, so a partial hit is computed again in full."""
-    read, write = memo.get, memo.put
+    """Values of each root, one per transform, folded on ``_postorder``.
+    Its table of finished nodes is the memo itself, read through ``Memo.get``
+    and written through ``Memo.put``: one entry per node, keyed by
+    (canonical key, convention, transforms)."""
     widths = []  # matrix widths of the expanded nodes on the walk's stack, innermost last
-
-    def lookup(key):
-        values = []
-        for t in transforms:
-            value = read((key, convention, t))
-            if value is None:
-                return None
-            values.append(value)
-        return values
-
-    def store(key, values):
-        for t, value in zip(transforms, values):
-            write((key, convention, t), value)
 
     def expand(q):
         matrix = q.move_matrix()
@@ -189,7 +177,8 @@ def _walk(roots, convention, transforms, memo: Memo) -> list:
             for t in range(len(transforms))
         )
 
-    return _postorder(roots, expand, combine, methodcaller("canonical_key"), (lookup, store))
+    key = lambda q: (q.canonical_key(), convention, transforms)
+    return _postorder(roots, expand, combine, key, (memo.get, memo.put))
 
 
 def _matrix_value(rows) -> Fraction:
@@ -205,8 +194,9 @@ def guarantee_profile(
 ) -> GuaranteeProfile:
     """Security probabilities [ell, arr] from one walk over both transforms.
 
-    The root's value comes from the memo when it is there; no mixes are
-    solved for.  Without a memo the call uses a fresh one.
+    The root's values come from the memo when an earlier profile stored
+    its entry, keyed by the pair of transforms; no mixes are solved for.
+    Without a memo the call uses a fresh one.
     """
     _check(p, convention)
     ((ell, arr),) = _walk([p], convention, (ELL, ARR), memo if memo is not None else Memo())

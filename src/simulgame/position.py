@@ -272,6 +272,12 @@ class ExplicitGame(Position):
                 raise BadParameters("LR grid must be |L| rows of |R| entries")
         elif self.table:
             raise BadParameters("LR grid must be empty when an option list is empty")
+        # The dataclass hash, taken once from the subgames' own cached hashes,
+        # so hashing a deep game never recurses.
+        object.__setattr__(self, "_hash", hash((self.lefts, self.rights, self.table)))
+
+    def __hash__(self):
+        return self._hash
 
     def options(self, left):
         side, games = ("L", self.lefts) if left else ("R", self.rights)

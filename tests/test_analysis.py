@@ -15,7 +15,7 @@ from simulgame.analysis import (
 )
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate
 from simulgame.errors import BadParameters, BadStalk
-from simulgame.position import score
+from simulgame.position import ExplicitGame, score
 from simulgame.rulesets import clobber_complete, clobber_strip, hb_stalk, sq
 
 F = Fraction
@@ -180,6 +180,23 @@ def test_reduce_evaluates_each_position_once(monkeypatch):
     reduced = reduce_game(clobber_complete(5), SCORING)
     assert len(calls) == len(set(calls)) == 67
     assert evaluate(reduced, SCORING).ex == F(3, 2)
+
+
+def test_deep_explicit_chain_hashes_and_reduces():
+    # An explicit game caches its hash from its subgames' cached hashes, so a
+    # 3000-deep chain hashes, and reduce_game keys its table by it, without
+    # recursing.  Nothing is dominated in a 1x1 game, so the reduction is a
+    # copy: equal to the chain, hence of equal hash (comparing the two with
+    # == would walk both trees).
+    chain = score(0)
+    for _ in range(3000):
+        chain = ExplicitGame((score(0),), (score(0),), ((chain,),))
+    reduced = reduce_game(chain)
+    assert hash(reduced) == hash(chain)
+    for _ in range(3000):
+        assert (reduced.lefts, reduced.rights) == ((score(0),), (score(0),))
+        reduced = reduced.table[0][0]
+    assert reduced == score(0)
 
 
 def test_value_substitution_understates_paired_strips():

@@ -264,16 +264,20 @@ def test_profile_builds_each_matrix_once(monkeypatch):
     memo = Memo()
     guarantee_profile(sq({1, 2}, {1, 3}, 8), NORMAL, memo=memo)
     assert len(built) == len(set(built)) > 8
-    assert len(memo) == 2 * len(built)  # an ell and an arr entry per key
+    assert len(memo) == len(built)  # one entry, holding ell and arr, per key
 
 
-def test_partial_memo_hits_are_recomputed():
+def test_ell_evaluate_and_profile_keep_separate_entries():
+    """Each walk keys its entries by its own transforms, so a profile on a
+    memo warmed by an ELL-only evaluate stores its own entry per node."""
     position = sq({1, 2}, {1, 3}, 8)
-    warm = Memo()
-    evaluate(position, NORMAL, transform=ELL, memo=warm)  # ell entries only
-    entries = len(warm)
-    assert guarantee_profile(position, NORMAL, memo=warm) == guarantee_profile(position, NORMAL)
-    assert len(warm) == 2 * entries
+    memo = Memo()
+    ell = evaluate(position, NORMAL, transform=ELL, memo=memo).ex
+    entries = len(memo)
+    profile = guarantee_profile(position, NORMAL, memo=memo)
+    assert len(memo) == 2 * entries
+    assert profile == guarantee_profile(position, NORMAL)
+    assert profile.ell == ell
 
 
 def _has_pure_saddle(rows):
@@ -493,7 +497,7 @@ def test_memo_traffic_is_pinned(monkeypatch):
     queries = [
         (lambda: evaluate(parse("sq{1,2}{1,3}(7) ^ sq{1,2}{2,3}(6)"), NORMAL, memo=Memo()), 3168, 31),
         (lambda: evaluate(parse("cl:K6"), SCORING, memo=Memo()), 55, 10),
-        (lambda: guarantee_profile(parse("sq{1,2}{1,3}(8)"), memo=Memo()), 209, 18),
+        (lambda: guarantee_profile(parse("sq{1,2}{1,3}(8)"), memo=Memo()), 109, 9),
     ]
     for query, gets, puts in queries:
         counts.update(get=0, put=0)
