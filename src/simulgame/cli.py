@@ -5,7 +5,8 @@ Subcommands: ``eval`` an expression, tabulate a strip family with
 dominance-reduced game with ``reduce``.
 
 Exit codes are fixed for scripting: 0 success, 1 verification failure,
-2 parse error, 3 evaluation error.  Rationals print as ``p/q`` in lowest
+2 parse error, 3 evaluation error; the one exception, a bad cordon spec,
+is described at ``main``.  Rationals print as ``p/q`` in lowest
 terms; ``--decimal K`` rounds them half-even to K digits exactly, with
 plain digits and no sign on a result of zero.
 """

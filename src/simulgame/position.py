@@ -279,6 +279,32 @@ class ExplicitGame(Position):
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        """Field-wise, as the dataclass equality, but on an explicit stack of
+        subgame pairs, so a deep game compares without recursion.  Cached
+        hashes are compared first, and each distinct pair only once, so two
+        games that share subgames compare in time linear in their pairs."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if not (a.__class__ is b.__class__ is ExplicitGame):
+                if a != b:
+                    return False
+                continue
+            if a._hash != b._hash or len(a.lefts) != len(b.lefts) or len(a.rights) != len(b.rights):
+                return False
+            seen.add((id(a), id(b)))
+            # __post_init__ gives equal option counts equal table shapes.
+            stack.extend(zip(a.lefts, b.lefts))
+            stack.extend(zip(a.rights, b.rights))
+            for row_a, row_b in zip(a.table, b.table):
+                stack.extend(zip(row_a, row_b))
+        return True
+
     def options(self, left):
         side, games = ("L", self.lefts) if left else ("R", self.rights)
         return tuple((f"{side}{i}", g) for i, g in enumerate(games))

@@ -4,13 +4,14 @@ A sum is itself a position, so sums nest and components may come from
 different rulesets.  The three kinds differ only in which components a
 player moves in and in when play stops; ``SumPosition._read_mobility``
 states those rules, once, over the components' own mobility readings.  A
-player's pure strategy is one move in each component that player moves in;
-the sum's one move rule ``options(left)`` and its move matrix both come
-from that one enumeration, over each component's own ``options(left)``.
-A matrix cell is composed from the components: a component both players
-moved in takes the cell of its own move matrix, and any other moved
-component takes its unilateral successor.  Evaluation of a sum is still
-global: the sum's matrix ranges over whole strategy tuples, and its
+player's pure strategy is one move in each component that player moves in,
+enumerated over each component's own ``options(left)``.  One successor
+rule, ``SumPosition._successor``, gives the sum after a strategy pair or
+after one player's strategy alone: each moved component takes its
+unilateral successor, except that a component both players moved in takes
+the cell of its own move matrix.  Every option of ``options(left)`` and
+every cell of the move matrix come from that rule.  Evaluation of a sum is
+still global: the sum's matrix ranges over whole strategy tuples, and its
 components are never pre-reduced (reducing components first changes
 values; see the analysis module for the witnesses).
 """
@@ -38,9 +39,9 @@ class SumPosition(Position):
     the memo and never asked who can move.  Equality
     compares the kind and the components themselves, not the key, so it
     never merges sums whose components only share an isomorphism class.
-    The move matrix is composed from the components' own matrices, each
-    built at most once per sum matrix, and its rows and columns follow
-    option order.
+    Options and matrix cells alike are built by ``_successor``; the move
+    matrix reads each component's own matrix at most once, and its rows
+    and columns follow option order.
     """
 
     ruleset_tag = "sum"
@@ -109,10 +110,6 @@ class SumPosition(Position):
         right_ok = all(readings[i].right for i in judged)
         return Mobility(live, live, left_ok, right_ok, movers, scored)
 
-    def _replace(self, updates: dict[int, Position]) -> "SumPosition":
-        comps = [updates.get(i, c) for i, c in enumerate(self.components)]
-        return SumPosition(self.kind, comps)
-
     def _strategies(self, left: bool):
         """One player's pure strategies, each a tuple of component moves
         ``(component, option index, label, successor)``.  A player with no
@@ -131,11 +128,28 @@ class SumPosition(Position):
             return [(move,) for i in reading.movers for move in moves(i)]
         return list(itertools.product(*(moves(i) for i in reading.movers)))
 
+    def _successor(self, row, col=(), grids=None) -> "SumPosition":
+        """The sum after Left plays strategy ``row`` and Right plays ``col``;
+        ``col`` empty gives the successor of ``row`` alone, played by either
+        player.  Each moved component takes its unilateral successor, but a
+        component both players moved in takes the cell of its own move
+        matrix, read once into ``grids`` (component index -> cells).  Such a
+        component sits at the same place in both strategies: a ``+``
+        strategy is one move, and a ``^`` or ``v`` strategy moves in every
+        mover, in order."""
+        comps = list(self.components)
+        for i, _, _, succ in row:
+            comps[i] = succ
+        for (i, lk, _, _), (j, rk, _, succ) in zip(row, col):
+            if i == j:
+                if i not in grids:
+                    grids[i] = self.components[i].move_matrix().cells
+                succ = grids[i][lk][rk]
+            comps[j] = succ
+        return SumPosition(self.kind, comps)
+
     def options(self, left):
-        return tuple(
-            (_label(strategy), self._replace({i: succ for i, _, _, succ in strategy}))
-            for strategy in self._strategies(left)
-        )
+        return tuple((_label(s), self._successor(s)) for s in self._strategies(left))
 
     def move_matrix(self) -> MoveMatrix:
         """Rows and columns follow option order."""
@@ -143,27 +157,9 @@ class SumPosition(Position):
             return EMPTY_MATRIX
         rows = self._strategies(left=True)
         cols = self._strategies(left=False)
-        component_cells = {}
-
-        def joint(i, lk, rk):
-            if i not in component_cells:
-                component_cells[i] = self.components[i].move_matrix().cells
-            return component_cells[i][lk][rk]
-
-        cells = []
-        for row in rows:
-            moved = {i: lk for i, lk, _, _ in row}
-            row_updates = {i: succ for i, _, _, succ in row}
-            line = []
-            for col in cols:
-                updates = dict(row_updates)
-                for i, rk, _, succ in col:
-                    updates[i] = joint(i, moved[i], rk) if i in moved else succ
-                line.append(self._replace(updates))
-            cells.append(tuple(line))
-        return MoveMatrix(
-            tuple(_label(row) for row in rows), tuple(_label(col) for col in cols), tuple(cells)
-        )
+        grids = {}
+        cells = tuple(tuple(self._successor(row, col, grids) for col in cols) for row in rows)
+        return MoveMatrix(tuple(map(_label, rows)), tuple(map(_label, cols)), cells)
 
     def _score(self) -> Fraction:
         """Sum of the scores of the components that count.  Each is finished:

@@ -1,5 +1,6 @@
 """Closed forms, comparisons, and reduction."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,17 +187,44 @@ def test_deep_explicit_chain_hashes_and_reduces():
     # An explicit game caches its hash from its subgames' cached hashes, so a
     # 3000-deep chain hashes, and reduce_game keys its table by it, without
     # recursing.  Nothing is dominated in a 1x1 game, so the reduction is a
-    # copy: equal to the chain, hence of equal hash (comparing the two with
-    # == would walk both trees).
+    # copy: equal to the chain, and of equal hash.  Equality walks both
+    # trees on an explicit stack.
     chain = score(0)
     for _ in range(3000):
         chain = ExplicitGame((score(0),), (score(0),), ((chain,),))
     reduced = reduce_game(chain)
     assert hash(reduced) == hash(chain)
+    assert reduced == chain
     for _ in range(3000):
         assert (reduced.lefts, reduced.rights) == ((score(0),), (score(0),))
         reduced = reduced.table[0][0]
     assert reduced == score(0)
+
+
+def test_reduce_game_shares_two_equal_deep_chains():
+    # Two separately built equal chains meet as one key of the reduction's
+    # table, so they are compared with ==, and then reduced once.
+    def chain():
+        game = score(0)
+        for _ in range(3000):
+            game = ExplicitGame((score(0),), (score(0),), ((game,),))
+        return game
+
+    game = ExplicitGame((chain(),), (chain(),), ((score(0),),))
+    reduced = reduce_game(game)
+    assert reduced == game
+    assert reduced.lefts[0] is reduced.rights[0]
+
+
+def test_separate_reductions_compare_once_per_subgame_pair():
+    # Two reductions of one strip are equal trees whose shared subgames are
+    # distinct objects.  Comparing each pair of subgames once per path to it
+    # took seconds at 16 squares and doubled every two squares more.
+    first, second = (reduce_game(sq({1}, {2}, 20)) for _ in range(2))
+    assert first is not second
+    start = time.perf_counter()
+    assert first == second
+    assert time.perf_counter() - start < 1.0
 
 
 def test_value_substitution_understates_paired_strips():

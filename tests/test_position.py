@@ -127,3 +127,28 @@ def test_move_count_score_detects_a_loop():
         p.terminal_score()
     with pytest.raises(LoopyGame):
         evaluate(p, SCORING)
+
+
+def _chain(depth, bottom=0):
+    game = score(bottom)
+    for _ in range(depth):
+        game = ExplicitGame((score(0),), (score(0),), ((game,),))
+    return game
+
+
+def test_explicit_equality_walks_deep_games_without_recursion():
+    # Two separately built 3000-deep chains: equal, and unequal when only
+    # the bottom score differs.
+    assert _chain(3000) == _chain(3000)
+    assert not _chain(3000) != _chain(3000)
+    assert _chain(3000) != _chain(3000, bottom=1)
+    assert _chain(3000) != _chain(2999)
+
+
+def test_explicit_equality_is_field_wise_not_by_key():
+    # Mirror-image boards share a key but are different positions.
+    a, b = clobber_strip("OXX"), clobber_strip("XXO")
+    assert a.canonical_key() == b.canonical_key()
+    wrap = lambda board: ExplicitGame((board,), (score(0),), ((score(1),),))
+    assert wrap(a) != wrap(b)
+    assert wrap(a) == wrap(clobber_strip("OXX"))

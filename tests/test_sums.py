@@ -1,15 +1,18 @@
 """Sum combinators: termination, winners, scores, and the negative results."""
 
 import itertools
+import json
+import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile, outcome
 from simulgame.errors import BadParameters, NotTerminal
 from simulgame.gexpr import parse
-from simulgame.position import ExplicitGame, outcome_literal, score, v_a
+from simulgame.position import ExplicitGame, Position, outcome_literal, score, v_a
 from simulgame.rulesets import SqPosition, clobber_strip, hb_stalk, sq
 from simulgame.sums import SumPosition, conjunctive, continued_conjunctive, disjunctive
 from simulgame.verify import additivity_sample
@@ -433,3 +436,98 @@ def test_explicit_transcription_matches_graph_boards():
 
     assert matrices(g_literal) == matrices(parse("hb:fig5G"))
     assert matrices(h_literal) == matrices(parse("hb:fig5H"))
+
+
+# -- successor pins --------------------------------------------------------------
+
+X_PLUS = "x{L:[s(1) + s(2)] | R:[s(0)] | LR:[[s(1) + s(2)]]}"  # its successors are + sums
+LIVE_PARTS = [
+    "sq{1}{2}(2)", "sq{1}{2}(3)", "sq'{1}{2}(3)", "hb[BR]", "hb[RRB]",
+    "cl[OX]", "cl[OXO]", "cl[XOX]", "cl[OOX]", X_PLUS,
+]
+PIN_PARTS = LIVE_PARTS + [
+    "sq{1}{2}(0)", "sq{1}{2}(1)", "sq{1,2}{1,3}(4)", "sq{1}{5}(2)", "sq{3}{1}(2)",
+    "hb[B]", "hb[R]", "hb[BB]", "s(2)", "s(-1)", "s(0)", "o(L)", "o(R)", "o(D)",
+]
+PIN_FORCED = [
+    "sq{1}{5}(2) + hb[BB]",  # one-sided + sums
+    "hb[R] + sq{3}{1}(2)",
+    "sq{1}{5}(2) + s(1)",
+    "s(1) v sq{1}{2}(3) v hb[BR]",  # v sums with finished components
+    "o(L) v cl[OXO] v sq{1}{2}(2)",
+    "o(L) ^ sq{1}{2}(3)",  # a finished ^ sum
+    f"{X_PLUS} + s(0)",  # successors flatten
+    f"{X_PLUS} + sq{{1}}{{2}}(2)",
+    "sq{1}{2}(2) + sq{1}{2}(2)",
+    "(sq{1}{2}(2) + hb[B]) ^ cl[OXO]",
+    "(hb[BR] ^ sq{1}{2}(3)) v sq'{1}{2}(3)",
+]
+
+
+def _pin_texts(count=60, seed=21):
+    """PIN_FORCED, then seeded sums cycling + ^ v: two or three parts, a ^ sum
+    of live parts only; one two-part sum in five nests a sum of another kind."""
+    rng = random.Random(seed)
+    texts = list(PIN_FORCED)
+    while len(texts) < count:
+        kind = "+^v"[len(texts) % 3]
+        pool = LIVE_PARTS if kind == "^" else PIN_PARTS
+        size = rng.choice((2, 2, 3))
+        parts = [rng.choice(pool) for _ in range(size)]
+        if size == 2 and rng.randrange(5) == 0:
+            inner = rng.choice([k for k in "+v" if k != kind])
+            parts[0] = f"({rng.choice(LIVE_PARTS)} {inner} {rng.choice(pool)})"
+        texts.append(f" {kind} ".join(parts))
+    return texts
+
+
+def _sum_pin(text):
+    """Labels and successor keys of both option lists and of the move matrix."""
+    p = parse(text)
+    options = lambda left: [[lbl, q.canonical_key()] for lbl, q in p.options(left)]
+    m = p.move_matrix()
+    return {
+        "text": text,
+        "options": {"left": options(True), "right": options(False)},
+        "matrix": {
+            "rows": list(m.row_labels),
+            "cols": list(m.col_labels),
+            "cells": [[q.canonical_key() for q in row] for row in m.cells],
+        },
+    }
+
+
+SUM_PINS_PATH = Path(__file__).parent / "data" / "sum_matrix_pins.json"
+
+
+def test_sum_successors_reproduce_pins():
+    pins = json.loads(SUM_PINS_PATH.read_text())["sums"]
+    assert [pin["text"] for pin in pins] == _pin_texts()
+    for pin in pins:
+        assert _sum_pin(pin["text"]) == pin, pin["text"]
+
+
+def test_sum_matrix_builds_each_component_matrix_once(monkeypatch):
+    # The pinned sums, plus sums where many cells have both players moving
+    # in one component: each component's own matrix is built at most once
+    # per sum matrix.
+    built = []
+    originals = {cls: cls.move_matrix for cls in (Position, SumPosition)}
+    for cls, original in originals.items():
+        def counting(self, original=original):
+            built.append(self)
+            return original(self)
+
+        monkeypatch.setattr(cls, "move_matrix", counting)
+    texts = _pin_texts() + [
+        "cl[XOX] ^ sq{1}{2}(3) ^ sq'{1}{2}(3)",
+        "sq{1,2}{1,3}(4) + sq{1,2}{1,3}(4)",
+        "(cl[OXO] + sq{1}{2}(3)) ^ (hb[BR] v sq{1}{2}(2))",
+    ]
+    for text in texts:
+        s = parse(text)
+        built.clear()
+        s.move_matrix()
+        for c in s.components:
+            copies = sum(d is c for d in s.components)
+            assert sum(b is c for b in built) <= copies, (text, c.canonical_key())
