@@ -37,7 +37,8 @@ def reduce_game(p: Position, convention: str = NORMAL, *, memo: Memo | None = No
     as the result's keys spell a shared subgame once per path to it.  Equal
     subgames are reduced once per call and share one result, keyed by the
     positions themselves, not by keys: one key can stand for boards whose
-    options come in other orders.
+    options come in other orders.  Equal results are one object, as equal
+    explicit games always are.
     """
     memo = memo if memo is not None else Memo()
 

@@ -390,8 +390,8 @@ def _joined(groups, sep: str) -> list:
 
 def _rendered_length(p) -> int:
     """``len(render_position(p))``, summed over its parts without the text,
-    once per distinct subgame.  Lengths are keyed by ``id``: two distinct but
-    equal explicit games compare equal only by walking both trees."""
+    once per distinct subgame.  Lengths are keyed by ``id``, which is
+    equality for explicit games, as equal explicit games are one object."""
     subgames = lambda q: [g for g in _parts(q) if not isinstance(g, str)]
     text = lambda q: sum(len(s) for s in _parts(q) if isinstance(s, str))
     (length,) = _postorder([p], subgames, lambda q, lengths: text(q) + sum(lengths))

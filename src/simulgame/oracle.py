@@ -3,7 +3,8 @@
 Shares only the position model with the engine: backward induction here
 uses exhaustive support enumeration for every matrix value, never the
 simplex solver, and keeps its own table.  That table is keyed on the
-positions themselves (field-wise equality), not on canonical keys, so the
+positions themselves (field-wise equality, which is identity for explicit
+games, as equal ones are one object), not on canonical keys, so the
 engine's isomorphism-reduced keys never decide a value here.  It also
 keeps its own recursive walk, with its own loop check, instead of the
 library's ``position._postorder``, which the engine folds on: a fault in

@@ -11,10 +11,13 @@ matrix.  Terminality and the terminal outcome under the move-based winning
 convention derive from the option lists.  ``terminal_score`` is the one
 public score: it checks that play has stopped, then calls the hook ``_score``.
 Positions are immutable and hashable; evaluation never mutates them.
+Equal explicit games are one object, so their equality is identity.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -256,9 +259,17 @@ def score(value) -> ScoreLiteral:
     return ScoreLiteral(Fraction(value))
 
 
-@dataclass(frozen=True)
+# Field tuple -> the one live explicit game with those fields, read and
+# registered under the lock so that two threads never make two equal games.
+_LIVE_GAMES = weakref.WeakValueDictionary()
+_LIVE_GAMES_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class ExplicitGame(Position):
-    """A game given literally by its option lists and simultaneous table."""
+    """A game given literally by its option lists and simultaneous table.
+    Equal explicit games are one object (the constructor returns the live
+    game with equal fields, if any), so identity is field-wise equality."""
 
     lefts: tuple[Position, ...]
     rights: tuple[Position, ...]
@@ -266,44 +277,30 @@ class ExplicitGame(Position):
 
     ruleset_tag = "explicit"
 
-    def __post_init__(self):
-        if self.lefts and self.rights:
-            if [len(row) for row in self.table] != [len(self.rights)] * len(self.lefts):
+    def __new__(cls, lefts, rights, table):
+        if lefts and rights:
+            if [len(row) for row in table] != [len(rights)] * len(lefts):
                 raise BadParameters("LR grid must be |L| rows of |R| entries")
-        elif self.table:
+        elif table:
             raise BadParameters("LR grid must be empty when an option list is empty")
-        # The dataclass hash, taken once from the subgames' own cached hashes,
-        # so hashing a deep game never recurses.
-        object.__setattr__(self, "_hash", hash((self.lefts, self.rights, self.table)))
+        fields = (lefts, rights, table)
+        with _LIVE_GAMES_LOCK:
+            game = _LIVE_GAMES.get(fields)
+            if game is None:
+                game = super().__new__(cls)
+                vars(game).update(lefts=lefts, rights=rights, table=table)
+                _LIVE_GAMES[fields] = game
+        return game
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        """Copies and unpickled games are the live game with equal fields."""
+        return ExplicitGame, (self.lefts, self.rights, self.table)
 
-    def __eq__(self, other):
-        """Field-wise, as the dataclass equality, but on an explicit stack of
-        subgame pairs, so a deep game compares without recursion.  Cached
-        hashes are compared first, and each distinct pair only once, so two
-        games that share subgames compare in time linear in their pairs."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack, seen = [(self, other)], set()
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if not (a.__class__ is b.__class__ is ExplicitGame):
-                if a != b:
-                    return False
-                continue
-            if a._hash != b._hash or len(a.lefts) != len(b.lefts) or len(a.rights) != len(b.rights):
-                return False
-            seen.add((id(a), id(b)))
-            # __post_init__ gives equal option counts equal table shapes.
-            stack.extend(zip(a.lefts, b.lefts))
-            stack.extend(zip(a.rights, b.rights))
-            for row_a, row_b in zip(a.table, b.table):
-                stack.extend(zip(row_a, row_b))
-        return True
+    def __repr__(self):
+        """One level only, so the text stays short on deep or shared games."""
+        tags = lambda games: ",".join(g.ruleset_tag for g in games)
+        shape = f"{len(self.table)}x{len(self.table[0]) if self.table else 0}"
+        return f"ExplicitGame(L[{tags(self.lefts)}] R[{tags(self.rights)}] T[{shape}])"
 
     def options(self, left):
         side, games = ("L", self.lefts) if left else ("R", self.rights)

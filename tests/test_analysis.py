@@ -184,11 +184,10 @@ def test_reduce_evaluates_each_position_once(monkeypatch):
 
 
 def test_deep_explicit_chain_hashes_and_reduces():
-    # An explicit game caches its hash from its subgames' cached hashes, so a
-    # 3000-deep chain hashes, and reduce_game keys its table by it, without
-    # recursing.  Nothing is dominated in a 1x1 game, so the reduction is a
-    # copy: equal to the chain, and of equal hash.  Equality walks both
-    # trees on an explicit stack.
+    # Equal explicit games are one object, hashed and compared by identity,
+    # so a 3000-deep chain hashes, and reduce_game keys its table by it,
+    # without recursing.  Nothing is dominated in a 1x1 game, so the
+    # reduction rebuilds equal games: it is the chain itself.
     chain = score(0)
     for _ in range(3000):
         chain = ExplicitGame((score(0),), (score(0),), ((chain,),))
@@ -217,11 +216,11 @@ def test_reduce_game_shares_two_equal_deep_chains():
 
 
 def test_separate_reductions_compare_once_per_subgame_pair():
-    # Two reductions of one strip are equal trees whose shared subgames are
-    # distinct objects.  Comparing each pair of subgames once per path to it
-    # took seconds at 16 squares and doubled every two squares more.
+    # Two reductions of one strip are equal games, so they are one object.
+    # Comparing each pair of subgames once per path to it took seconds at 16
+    # squares and doubled every two squares more.
     first, second = (reduce_game(sq({1}, {2}, 20)) for _ in range(2))
-    assert first is not second
+    assert first is second
     start = time.perf_counter()
     assert first == second
     assert time.perf_counter() - start < 1.0

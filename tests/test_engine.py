@@ -469,9 +469,10 @@ def test_deep_explicit_game_keys_and_evaluates():
     wrap = "x(L[s(0)]|R[s(0)]|T["
     assert top.canonical_key() == wrap * 3000 + bottom.canonical_key() + "])" * 3000
     assert levels[1500]._key == wrap * 1500 + bottom.canonical_key() + "])" * 1500
-    fresh = ExplicitGame((dead,), (dead,), ((levels[1500],),))
+    # Right's option differs from level 1,501's, whose key is already spelled.
+    fresh = ExplicitGame((dead,), (score(1),), ((levels[1500],),))
     object.__setattr__(levels[1500], "_key", "cached")
-    assert fresh.canonical_key() == wrap + "cached])"
+    assert fresh.canonical_key() == "x(L[s(0)]|R[s(1)]|T[cached])"
     object.__setattr__(levels[1500], "_key", None)
     assert evaluate(top).ex == 1 and evaluate(top, SCORING).ex == 1
     assert guarantee_profile(top) == engine.GuaranteeProfile(F(1), F(0))

@@ -2,10 +2,18 @@
 among its player's options, ``joint_option`` reads the move matrix, and
 ``terminal_score`` is the one public score."""
 
+import copy
+import gc
+import pickle
+from fractions import Fraction
+
 import pytest
 
+from simulgame import position
+from simulgame.analysis import reduce_game
 from simulgame.engine import SCORING, evaluate
 from simulgame.errors import BadParameters, IllegalMove, LoopyGame, NotTerminal
+from simulgame.gexpr import parse
 from simulgame.position import ExplicitGame, Position, score, v_a
 from simulgame.rulesets import clobber_complete, clobber_strip, hb_forest, sq
 from simulgame.sums import conjunctive, continued_conjunctive, disjunctive
@@ -137,8 +145,8 @@ def _chain(depth, bottom=0):
 
 
 def test_explicit_equality_walks_deep_games_without_recursion():
-    # Two separately built 3000-deep chains: equal, and unequal when only
-    # the bottom score differs.
+    # Two separately built 3000-deep chains: one object, so equal without a
+    # walk, and unequal when only the bottom score differs.
     assert _chain(3000) == _chain(3000)
     assert not _chain(3000) != _chain(3000)
     assert _chain(3000) != _chain(3000, bottom=1)
@@ -152,3 +160,46 @@ def test_explicit_equality_is_field_wise_not_by_key():
     wrap = lambda board: ExplicitGame((board,), (score(0),), ((score(1),),))
     assert wrap(a) != wrap(b)
     assert wrap(a) == wrap(clobber_strip("OXX"))
+
+
+def test_equal_explicit_games_are_one_object():
+    # Built twice from distinct but equal leaves.
+    assert score(1) is not score(1)
+    first = ExplicitGame((score(1), score(0)), (score(-1),), ((score(2),), (score(-2),)))
+    assert first is EXPLICIT
+    assert first is not ExplicitGame((score(0), score(1)), (score(-1),), ((score(2),), (score(-2),)))
+    game = parse("x{L:[o(L),o(L)] | R:[s(0)] | LR:[[s(0)],[s(0)]]}")
+    assert game.lefts[0] is game.lefts[1]
+
+
+def test_copies_of_an_explicit_game_are_the_game_itself():
+    game = _chain(5)
+    assert copy.copy(game) is game
+    assert copy.deepcopy(game) is game
+    assert pickle.loads(pickle.dumps(game)) is game
+
+
+def test_live_explicit_games_are_not_kept_alive():
+    before = len(position._LIVE_GAMES)
+    games = [ExplicitGame((score(Fraction(i, 1_000_003)),), (), ()) for i in range(1, 1001)]
+    assert len(position._LIVE_GAMES) == before + 1000
+    del games
+    gc.collect()
+    assert len(position._LIVE_GAMES) == before
+
+
+def test_explicit_grid_messages():
+    with pytest.raises(BadParameters) as bad_rows:
+        ExplicitGame((score(1),), (score(0),), ())
+    assert str(bad_rows.value) == "LR grid must be |L| rows of |R| entries"
+    with pytest.raises(BadParameters) as bad_empty:
+        ExplicitGame((), (score(0),), ((),))
+    assert str(bad_empty.value) == "LR grid must be empty when an option list is empty"
+
+
+def test_explicit_repr_prints_one_level():
+    # The field-wise repr recursed on the chain and ran to millions of
+    # characters on the reduction, one copy per path to each subgame.
+    for game in (_chain(3000), reduce_game(sq({1}, {2}, 20))):
+        assert len(repr(game)) < 200
+    assert repr(EXPLICIT) == "ExplicitGame(L[score,score] R[score] T[2x1])"

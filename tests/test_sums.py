@@ -531,3 +531,14 @@ def test_sum_matrix_builds_each_component_matrix_once(monkeypatch):
         for c in s.components:
             copies = sum(d is c for d in s.components)
             assert sum(b is c for b in built) <= copies, (text, c.canonical_key())
+
+
+@pytest.mark.xfail(
+    strict=True, raises=RecursionError, reason="SumPosition._read_mobility reads each component recursively"
+)
+def test_thousand_level_nested_sum_evaluates():
+    # Alternating kinds keep the levels from flattening into one sum.
+    game = sq({1}, {2}, 1)
+    for level in range(1000):
+        game = (conjunctive if level % 2 == 0 else disjunctive)(game, score(0))
+    assert evaluate(game).ex == 0
