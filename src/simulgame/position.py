@@ -54,16 +54,12 @@ EMPTY_MATRIX = MoveMatrix((), (), ())
 
 class Mobility(NamedTuple):
     """Who can move, and who still has a move when play stops (``left_ok``,
-    ``right_ok``: the move flags themselves for a plain position).  A sum
-    adds the components the players move in and those whose scores count,
-    as indices; no option list or successor is ever kept here."""
+    ``right_ok``: the move flags themselves for a plain position)."""
 
     left: bool
     right: bool
     left_ok: bool
     right_ok: bool
-    movers: tuple[int, ...] = ()
-    scored: tuple[int, ...] = ()
 
 
 # The four readings of a plain position, shared by every instance.
@@ -115,7 +111,7 @@ class Position:
         return self._reading
 
     def _read_mobility(self) -> Mobility:
-        """A plain position reads its own option lists; sums override this."""
+        """A plain position reads its own option lists; a composite overrides this."""
         return _PLAIN[bool(self.options(True)), bool(self.options(False))]
 
     def is_terminal(self) -> bool:

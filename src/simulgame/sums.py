@@ -1,9 +1,11 @@
 """Disjunctive, conjunctive, and continued-conjunctive sums.
 
 A sum is itself a position, so sums nest and components may come from
-different rulesets.  The three kinds differ only in which components a
-player moves in and in when play stops; ``SumPosition._read_mobility``
-states those rules, once, over the components' own mobility readings.  A
+different rulesets.  The three kinds differ only in their termination
+rules: ``SumPosition._read_mobility`` states when play stops and who wins,
+``_strategies`` the components a player moves in and ``_score`` those whose
+scores count.  Nested sums are read and scored bottom up, on
+``position._postorder``; only a live nested sum's options still recurse.  A
 player's pure strategy is one move in each component that player moves in,
 enumerated over each component's own ``options(left)``.  One successor
 rule, ``SumPosition._successor``, gives the sum after a strategy pair or
@@ -22,7 +24,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import BadParameters
-from .position import EMPTY_MATRIX, Mobility, MoveMatrix, Position
+from .position import EMPTY_MATRIX, Mobility, MoveMatrix, Position, _postorder
 
 DISJUNCTIVE = "+"
 CONJUNCTIVE = "^"
@@ -31,14 +33,16 @@ SUM_KINDS = (DISJUNCTIVE, CONJUNCTIVE, CONTINUED)
 
 
 class SumPosition(Position):
-    """A sum of at least two component positions, flattened and canonically
-    ordered so that commutative rearrangements are the same position.
+    """A sum of at least two component positions, flattened and stably
+    sorted by component key.  Rearrangements share the key, memo entry and
+    value, but key-equal components keep their input order, and with it
+    the sum's equality and move labels.
 
     The key is built eagerly, since it orders the components; the mobility
     reading is not, since most sums built as matrix cells are answered by
-    the memo and never asked who can move.  Equality
-    compares the kind and the components themselves, not the key, so it
-    never merges sums whose components only share an isomorphism class.
+    the memo and never asked who can move.  Equality compares the key, then
+    the components themselves, so it never merges sums whose components
+    only share an isomorphism class; the hash is the key's.
     Options and matrix cells alike are built by ``_successor``; the move
     matrix reads each component's own matrix at most once, and its rows
     and columns follow option order.
@@ -62,17 +66,15 @@ class SumPosition(Position):
         self._key = f"{kind}({';'.join(c.canonical_key() for c in self.components)})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SumPosition)
-            and self.kind == other.kind
-            and self.components == other.components
-        )
+        same_key = isinstance(other, SumPosition) and self._key == other._key
+        return same_key and self.components == other.components
 
     def __hash__(self):
-        return hash((self.kind, self.components))
+        return hash(self._key)
 
     def __repr__(self):
-        return f"SumPosition({self.kind!r}, {list(self.components)!r})"
+        """One level only, so the text stays short on deep sums."""
+        return f"SumPosition({self.kind} [{','.join(c.ruleset_tag for c in self.components)}])"
 
     # -- option structure ----------------------------------------------------
 
@@ -88,27 +90,23 @@ class SumPosition(Position):
           moves; over when no component is live; whoever has a move in every
           component wins.
 
-        A finished ``^`` or ``v`` sum offers no move to either player.
-        Scoring terminals: ``+`` and ``v`` add up every component's score,
-        ``^`` adds up the scores of the components that finished.
+        A finished ``^`` or ``v`` sum offers no move to either player.  Nested
+        sums with no reading yet are read first, bottom up on ``_postorder``.
         """
+        unread = lambda p: [c for c in p.components if isinstance(c, SumPosition) and c._reading is None]
+        if todo := unread(self):
+            _postorder(todo, unread, lambda p, _: p._mobility())
         readings = [c._mobility() for c in self.components]
-        every = tuple(range(len(readings)))
         if self.kind == DISJUNCTIVE:
             left = any(m.left for m in readings)
             right = any(m.right for m in readings)
-            return Mobility(left, right, left, right, every, every)
-        finished = tuple(i for i in every if not (readings[i].left and readings[i].right))
+            return Mobility(left, right, left, right)
+        finished = [m for m in readings if not (m.left and m.right)]
         if self.kind == CONJUNCTIVE:
-            live = not finished
-            judged, movers, scored = finished, every, finished
+            live, judged = not finished, finished
         else:
-            live = len(finished) < len(every)
-            judged, scored = every, every
-            movers = tuple(i for i in every if i not in finished)
-        left_ok = all(readings[i].left for i in judged)
-        right_ok = all(readings[i].right for i in judged)
-        return Mobility(live, live, left_ok, right_ok, movers, scored)
+            live, judged = len(finished) < len(readings), readings
+        return Mobility(live, live, all(m.left for m in judged), all(m.right for m in judged))
 
     def _strategies(self, left: bool):
         """One player's pure strategies, each a tuple of component moves
@@ -124,9 +122,11 @@ class SumPosition(Position):
             options = self.components[i].options(left)
             return [(i, k, lbl, succ) for k, (lbl, succ) in enumerate(options)]
 
+        # ``+`` and ``^`` move in every component, ``v`` in the live ones.
+        movers = [i for i, c in enumerate(self.components) if self.kind != CONTINUED or not c.is_terminal()]
         if self.kind == DISJUNCTIVE:
-            return [(move,) for i in reading.movers for move in moves(i)]
-        return list(itertools.product(*(moves(i) for i in reading.movers)))
+            return [(move,) for i in movers for move in moves(i)]
+        return list(itertools.product(*map(moves, movers)))
 
     def _successor(self, row, col=(), grids=None) -> "SumPosition":
         """The sum after Left plays strategy ``row`` and Right plays ``col``;
@@ -162,11 +162,14 @@ class SumPosition(Position):
         return MoveMatrix(tuple(map(_label, rows)), tuple(map(_label, cols)), cells)
 
     def _score(self) -> Fraction:
-        """Sum of the scores of the components that count.  Each is finished:
-        ``^`` counts only finished components, and a finished ``+`` or ``v``
-        sum has no other kind."""
-        scored = self._mobility().scored
-        return sum((self.components[i].terminal_score() for i in scored), Fraction(0))
+        """Sum of the scores of the components that count: the finished ones
+        for ``^``, all of them otherwise (a finished ``+`` or ``v`` sum has no
+        other kind).  Counted nested sums are added bottom up on ``_postorder``."""
+        counted = lambda p: [c for c in p.components if p.kind != CONJUNCTIVE or c.is_terminal()]
+        parts = lambda p: counted(p) if isinstance(p, SumPosition) else ()
+        add = lambda p, kids: sum(kids, Fraction(0)) if isinstance(p, SumPosition) else p.terminal_score()
+        (total,) = _postorder([self], parts, add)
+        return total
 
 
 def _label(strategy) -> str:

@@ -533,12 +533,52 @@ def test_sum_matrix_builds_each_component_matrix_once(monkeypatch):
             assert sum(b is c for b in built) <= copies, (text, c.canonical_key())
 
 
-@pytest.mark.xfail(
-    strict=True, raises=RecursionError, reason="SumPosition._read_mobility reads each component recursively"
-)
-def test_thousand_level_nested_sum_evaluates():
+def _alternating(levels, inner, kinds=(conjunctive, disjunctive)):
     # Alternating kinds keep the levels from flattening into one sum.
-    game = sq({1}, {2}, 1)
-    for level in range(1000):
-        game = (conjunctive if level % 2 == 0 else disjunctive)(game, score(0))
+    game = inner
+    for level in range(levels):
+        game = kinds[level % 2](game, score(0))
+    return game
+
+
+def test_thousand_level_nested_sum_evaluates():
+    # Every level is finished, so the sum is read and scored bottom up.
+    game = _alternating(1000, sq({1}, {2}, 1))
     assert evaluate(game).ex == 0
+    assert evaluate(game, SCORING).ex == 1
+    profile = guarantee_profile(game)
+    assert (profile.ell, profile.arr) == (0, 0)
+    assert outcome(game) == "D"
+
+
+def test_deep_sum_hash_repr_and_inequality_need_no_recursion():
+    first, second = _alternating(3000, sq({1}, {2}, 1)), _alternating(3000, sq({1}, {2}, 1))
+    assert hash(first) == hash(second)
+    assert len(repr(first)) < 200 and len(repr(second)) < 200
+    assert repr(first) == "SumPosition(+ [sum,score])"
+    assert first != _alternating(2999, sq({1}, {2}, 1))
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="equal sums compare their components recursively")
+def test_equal_deep_sums_compare_without_recursion():
+    assert _alternating(3000, sq({1}, {2}, 1)) == _alternating(3000, sq({1}, {2}, 1))
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="a live nested sum builds its options recursively")
+def test_live_nested_sum_evaluates():
+    # v over a terminal score keeps the strip live at every level, so each
+    # level moves in the one below.
+    assert evaluate(_alternating(200, sq({1}, {2}, 3), (continued_conjunctive, disjunctive))).ex == 0
+    assert evaluate(_alternating(300, sq({1}, {2}, 3), (continued_conjunctive, disjunctive))).ex == 0
+
+
+def test_rearranged_sum_shares_key_and_value_not_equality():
+    # Mirror strips share a key, and the stable sort keeps them in input order.
+    first, second = parse("cl[XO] + cl[OX]"), parse("cl[OX] + cl[XO]")
+    assert first.canonical_key() == second.canonical_key() == "+(cl(0-1|OX|0);cl(0-1|OX|0))"
+    for game in (first, second):
+        assert evaluate(game).ex == 0
+        assert evaluate(game, SCORING).ex == F(1, 2)
+    assert first != second
+    assert first.move_matrix().row_labels == ("0:0>1", "1:1>0")
+    assert second.move_matrix().row_labels == ("0:1>0", "1:0>1")
