@@ -30,7 +30,7 @@ from .errors import (
     SizeLimit,
     UnknownRuleset,
 )
-from .gexpr import _rendered_length, parse, render_position
+from .gexpr import parse, render_position
 from .rulesets import SqPosition
 from .sums import SumPosition
 
@@ -40,7 +40,6 @@ EXIT_PARSE = 2
 EXIT_EVAL = 3
 
 MEASURES = ("ex", "index", "outcome", "score", "matrix", "strategies")
-_REDUCE_TEXT_LIMIT = 1_000_000  # characters; a longer reduced game exits 3 unbuilt
 
 
 def non_negative_int(text: str) -> int:
@@ -163,9 +162,6 @@ def cmd_reduce(args) -> int:
         return EXIT_PARSE
     memo = Memo()
     reduced = reduce_game(position, args.convention, memo=memo)
-    length = _rendered_length(reduced)
-    if length > _REDUCE_TEXT_LIMIT:
-        raise SizeLimit(f"the reduced game runs to {length} characters, over {_REDUCE_TEXT_LIMIT}")
     value = evaluate(position, args.convention, memo=memo).ex
     lines = [
         render_position(reduced),
@@ -221,7 +217,8 @@ def main(argv=None) -> int:
     known-crash test pins ``hb cordon(0; )`` as a failure.  ROADMAP item 3
     adds them to this handler once that pin changes.  No walk over a game
     recurses, so a deep game such as ``sq{1}{2}(1500)`` ends in its value
-    rather than a ``RecursionError``.
+    rather than a ``RecursionError``, and ``reduce`` text that would pass
+    ``gexpr.MAX_TEXT`` ends in the renderer's ``SizeLimit``, exit 3.
     """
     args = build_parser().parse_args(argv)
     try:

@@ -24,7 +24,8 @@ literals.  Errors come out in one order.  A syntax error anywhere in the
 text is reported before a bad literal, and among bad literals the first
 one read wins.  A builder's ``BadParameters`` becomes ``BadLiteral``; its
 other errors (``BadCordonSpec``, ``UnknownRuleset``) pass through.
-``render_position`` writes a position back as text.
+``render_position`` writes a position back as text, and raises ``SizeLimit``
+rather than write more than ``MAX_TEXT`` characters.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from __future__ import annotations
 import re
 
 from .errors import (
-    BadLiteral, BadParameters, GameSyntaxError, MixedOperators, SimulgameError, UnknownRuleset
+    BadLiteral, BadParameters, GameSyntaxError, MixedOperators, SimulgameError, SizeLimit, UnknownRuleset
 )
 from .position import (
-    ExplicitGame, Position, ScoreLiteral, _postorder, outcome_literal, require_position, score
+    ExplicitGame, Position, ScoreLiteral, outcome_literal, require_position, score
 )
 from .rulesets import (
     BUILTIN_BOARDS,
@@ -56,6 +57,8 @@ from .sums import SUM_KINDS, SumPosition
 # recurses once per level, so deeper text is a syntax error rather than a
 # RecursionError; keying, evaluating and rendering a game need no recursion.
 MAX_NESTING = 100
+# The most characters ``render_position`` writes (a small game's text can run to billions).
+MAX_TEXT = 1_000_000
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -336,15 +339,18 @@ def render_position(p) -> str:
     Display helper for the CLI; positions that left the literal families
     (pruned graphs, strips that prime Right after a role swap) fall back to
     their canonical keys, which are not reparseable.  A clobber board prints
-    its own edges and occupancy instead, since its key is relabelled.
+    its own edges and occupancy instead, since its key is relabelled.  Text
+    that passes ``MAX_TEXT`` characters raises ``SizeLimit`` as it is written.
     """
-    out, stack = [], [iter(_parts(p))]
+    out, size, stack = [], 0, [iter(_parts(p))]
     while stack:
         for part in stack[-1]:
             if not isinstance(part, str):
                 stack.append(iter(_parts(part)))
                 break
             out.append(part)
+            if (size := size + len(part)) > MAX_TEXT:
+                raise SizeLimit(f"the game's text runs past {MAX_TEXT} characters")
         else:
             stack.pop()
     return "".join(out)
@@ -386,13 +392,3 @@ def _joined(groups, sep: str) -> list:
     for i, group in enumerate(groups):
         parts += [sep, *group] if i else group
     return parts
-
-
-def _rendered_length(p) -> int:
-    """``len(render_position(p))``, summed over its parts without the text,
-    once per distinct subgame.  Lengths are keyed by ``id``, which is
-    equality for explicit games, as equal explicit games are one object."""
-    subgames = lambda q: [g for g in _parts(q) if not isinstance(g, str)]
-    text = lambda q: sum(len(s) for s in _parts(q) if isinstance(s, str))
-    (length,) = _postorder([p], subgames, lambda q, lengths: text(q) + sum(lengths))
-    return length

@@ -4,8 +4,9 @@ A sum is itself a position, so sums nest and components may come from
 different rulesets.  The three kinds differ only in their termination
 rules: ``SumPosition._read_mobility`` states when play stops and who wins,
 ``_strategies`` the components a player moves in and ``_score`` those whose
-scores count.  Nested sums are read and scored bottom up, on
-``position._postorder``; only a live nested sum's options still recurse.  A
+scores count.  Nested sums are read, scored and given their options and
+move matrices bottom up, on ``position._postorder``, and compared on an
+explicit stack, so no operation on a sum recurses once per level.  A
 player's pure strategy is one move in each component that player moves in,
 enumerated over each component's own ``options(left)``.  One successor
 rule, ``SumPosition._successor``, gives the sum after a strategy pair or
@@ -66,8 +67,18 @@ class SumPosition(Position):
         self._key = f"{kind}({';'.join(c.canonical_key() for c in self.components)})"
 
     def __eq__(self, other):
-        same_key = isinstance(other, SumPosition) and self._key == other._key
-        return same_key and self.components == other.components
+        """Key-equal sums compare level by level, on an explicit stack."""
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if not (isinstance(b, SumPosition) and a._key == b._key):
+                return False
+            for c, d in zip(a.components, b.components):
+                if isinstance(c, SumPosition):
+                    pairs.append((c, d))
+                elif c != d:
+                    return False
+        return True
 
     def __hash__(self):
         return hash(self._key)
@@ -108,18 +119,20 @@ class SumPosition(Position):
             live, judged = len(finished) < len(readings), readings
         return Mobility(live, live, all(m.left for m in judged), all(m.right for m in judged))
 
-    def _strategies(self, left: bool):
+    def _strategies(self, left: bool, built):
         """One player's pure strategies, each a tuple of component moves
         ``(component, option index, label, successor)``.  A player with no
         move anywhere has none; in particular a finished ``^`` or ``v`` sum
         offers none, while a finished ``+`` sum still offers the mobile
-        player's component moves."""
+        player's component moves.  A nested sum's options are read from
+        ``built`` when ``_nested`` has built them."""
         reading = self._mobility()
         if not (reading.left if left else reading.right):
             return []
 
         def moves(i):
-            options = self.components[i].options(left)
+            entry = built.get(id(self.components[i]))
+            options = entry[left] if entry else self.components[i].options(left)
             return [(i, k, lbl, succ) for k, (lbl, succ) in enumerate(options)]
 
         # ``+`` and ``^`` move in every component, ``v`` in the live ones.
@@ -148,16 +161,37 @@ class SumPosition(Position):
             comps[j] = succ
         return SumPosition(self.kind, comps)
 
+    def _nested(self) -> dict:
+        """Right's options, Left's options and the move-matrix cells of every
+        sum nested in this one, by ``id``, built bottom up on ``_postorder``.
+        Empty, with no walk, unless a component holds a sum itself: a check
+        made on every ``options`` and ``move_matrix`` call, in one plain pass."""
+        built = {}
+        for c in self.components:
+            for d in c.components if isinstance(c, SumPosition) else ():
+                if isinstance(d, SumPosition):
+                    sums = lambda p: [q for q in p.components if isinstance(q, SumPosition)]
+                    build = lambda p, _: (p._options(False, built), p._options(True, built), p._matrix(built).cells)
+                    _postorder(sums(self), sums, build, table=(built.get, built.__setitem__))
+                    return built
+        return built
+
     def options(self, left):
-        return tuple((_label(s), self._successor(s)) for s in self._strategies(left))
+        return self._options(left, self._nested())
+
+    def _options(self, left, built):
+        return tuple((_label(s), self._successor(s)) for s in self._strategies(left, built))
 
     def move_matrix(self) -> MoveMatrix:
         """Rows and columns follow option order."""
+        return self._matrix(self._nested())
+
+    def _matrix(self, built) -> MoveMatrix:
         if self.is_terminal():
             return EMPTY_MATRIX
-        rows = self._strategies(left=True)
-        cols = self._strategies(left=False)
-        grids = {}
+        rows = self._strategies(True, built)
+        cols = self._strategies(False, built)
+        grids = {i: built[id(c)][2] for i, c in enumerate(self.components) if id(c) in built}
         cells = tuple(tuple(self._successor(row, col, grids) for col in cols) for row in rows)
         return MoveMatrix(tuple(map(_label, rows)), tuple(map(_label, cols)), cells)
 

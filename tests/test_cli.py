@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from simulgame import analysis, cli
+from simulgame import analysis, cli, gexpr
 from simulgame.engine import Memo
 from simulgame.errors import LoopyGame
 from simulgame.verify import ACCEPTANCE_POSITIONS, build_checks
@@ -286,29 +286,32 @@ def test_table_evaluation_error_exit_3(capsys, monkeypatch):
 
 
 def test_reduce_size_limit_exit_3(capsys):
-    # The reduced sq{1}{2}(18) would print about two billion characters.
-    code, out, err = run(capsys, "reduce", "sq{1}{2}(18)")
-    assert code == 3 and out == ""
-    assert err == "evaluation error: the reduced game runs to 2089127009 characters, over 1000000\n"
+    # The reduced sq{1}{2}(18) would print about two billion characters and
+    # sq{1}{2}(40) about 1.2e20, so the second ends only because the
+    # renderer stops writing at its bound.
+    for text in ("sq{1}{2}(18)", "sq{1}{2}(40)"):
+        code, out, err = run(capsys, "reduce", text)
+        assert (code, out) == (3, "")
+        assert err == "evaluation error: the game's text runs past 1000000 characters\n"
 
 
 def test_reduce_deep_strip_meets_the_size_limit(capsys):
     # 400 moves deep: the reduction walks bottom up, so neither it nor the
     # engine under it recurses once per level, and the text bound decides.
     code, out, err = run(capsys, "reduce", "sq{1}{1}(400)")
-    assert code == 3 and out == "" and "Traceback" not in err
-    assert re.fullmatch(r"evaluation error: the reduced game runs to \d+ characters, over 1000000\n", err)
+    assert (code, out) == (3, "")
+    assert err == "evaluation error: the game's text runs past 1000000 characters\n"
 
 
 def test_reduce_size_limit_at_its_edge(capsys, monkeypatch):
     # The reduced sq{1}{2}(6) runs to exactly 3825 characters.
-    monkeypatch.setattr(cli, "_REDUCE_TEXT_LIMIT", 3825)
+    monkeypatch.setattr(gexpr, "MAX_TEXT", 3825)
     code, out, err = run(capsys, "reduce", "sq{1}{2}(6)")
     assert code == 0 and err == "" and len(out.splitlines()[0]) == 3825
-    monkeypatch.setattr(cli, "_REDUCE_TEXT_LIMIT", 3824)
+    monkeypatch.setattr(gexpr, "MAX_TEXT", 3824)
     code, out, err = run(capsys, "reduce", "sq{1}{2}(6)")
     assert code == 3 and out == ""
-    assert err == "evaluation error: the reduced game runs to 3825 characters, over 3824\n"
+    assert err == "evaluation error: the game's text runs past 3824 characters\n"
 
 
 def test_table_syntax_error_caret_under_family(capsys):

@@ -13,8 +13,7 @@ from simulgame.errors import (
     MixedOperators,
     UnknownRuleset,
 )
-from simulgame.analysis import reduce_game
-from simulgame.gexpr import MAX_NESTING, _rendered_length, parse, render_position
+from simulgame.gexpr import MAX_NESTING, parse, render_position
 from simulgame.position import ExplicitGame, ScoreLiteral, score
 from simulgame.rulesets import ClobberPosition, HackenbushPosition, SqPosition, sq
 from simulgame.sums import SumPosition, disjunctive
@@ -183,18 +182,6 @@ def test_render_position_parse_roundtrip_random_literals():
     for _ in range(500):
         p = parse(_random_text(rng, 2))
         assert parse(render_position(p)) == p
-        assert _rendered_length(p) == len(render_position(p))
-
-
-def test_rendered_length_of_shared_reductions():
-    for text, convention in [
-        ("sq{1}{2}(8)", NORMAL),
-        ("sq'{1,4}{2}(6)", NORMAL),
-        ("cl:K5", SCORING),
-        ("hb[BRGB]", SCORING),
-    ]:
-        reduced = reduce_game(parse(text), convention)
-        assert _rendered_length(reduced) == len(render_position(reduced))
 
 
 def test_render_and_length_of_a_deep_chain():
@@ -203,7 +190,7 @@ def test_render_and_length_of_a_deep_chain():
     deep = score(0)
     for _ in range(3000):
         deep = ExplicitGame((deep,), (score(0),), ((score(0),),))
-    assert len(render_position(deep)) == _rendered_length(deep) == 96004
+    assert len(render_position(deep)) == 96004
 
 
 def test_render_position_roundtrips_literals():

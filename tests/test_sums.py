@@ -559,17 +559,19 @@ def test_deep_sum_hash_repr_and_inequality_need_no_recursion():
     assert first != _alternating(2999, sq({1}, {2}, 1))
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason="equal sums compare their components recursively")
 def test_equal_deep_sums_compare_without_recursion():
     assert _alternating(3000, sq({1}, {2}, 1)) == _alternating(3000, sq({1}, {2}, 1))
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason="a live nested sum builds its options recursively")
 def test_live_nested_sum_evaluates():
     # v over a terminal score keeps the strip live at every level, so each
-    # level moves in the one below.
-    assert evaluate(_alternating(200, sq({1}, {2}, 3), (continued_conjunctive, disjunctive))).ex == 0
-    assert evaluate(_alternating(300, sq({1}, {2}, 3), (continued_conjunctive, disjunctive))).ex == 0
+    # level moves in the one below: options and matrices are built bottom up.
+    live = lambda levels, n=3: _alternating(levels, sq({1}, {2}, n), (continued_conjunctive, disjunctive))
+    for levels in (200, 247, 1000):
+        assert evaluate(live(levels)).ex == 0
+    # Both of Left's moves take 1 from the strip at the bottom.
+    options = live(300).options(True)
+    assert len(options) == 2 and all(successor == live(300, 2) for _, successor in options)
 
 
 def test_rearranged_sum_shares_key_and_value_not_equality():
