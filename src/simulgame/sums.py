@@ -8,12 +8,16 @@ scores count.  Nested sums are read, scored and given their options and
 move matrices bottom up, on ``position._postorder``, and compared on an
 explicit stack, so no operation on a sum recurses once per level.  A
 player's pure strategy is one move in each component that player moves in,
-enumerated over each component's own ``options(left)``.  One successor
-rule, ``SumPosition._successor``, gives the sum after a strategy pair or
-after one player's strategy alone: each moved component takes its
-unilateral successor, except that a component both players moved in takes
-the cell of its own move matrix.  Every option of ``options(left)`` and
-every cell of the move matrix come from that rule.  Evaluation of a sum is
+enumerated over each component's own ``options(left)``, or, in a ``^`` or
+``v`` move matrix, where both players move in every live component, over
+the rows and columns of that component's own matrix.  One successor rule,
+``SumPosition._successor``, gives the sum after a strategy pair or after
+one player's strategy alone: each moved component takes its unilateral
+successor, except that a component both players moved in takes the cell
+of its own move matrix.  Every option of ``options(left)`` and every cell
+of the move matrix come from that rule.  A move matrix builds one sum per
+class of equal cells, so a matrix may hold one object in many cells, and a
+nested level builds only what its caller reads.  Evaluation of a sum is
 still global: the sum's matrix ranges over whole strategy tuples, and its
 components are never pre-reduced (reducing components first changes
 values; see the analysis module for the witnesses).
@@ -45,8 +49,9 @@ class SumPosition(Position):
     the components themselves, so it never merges sums whose components
     only share an isomorphism class; the hash is the key's.
     Options and matrix cells alike are built by ``_successor``; the move
-    matrix reads each component's own matrix at most once, and its rows
-    and columns follow option order.
+    matrix reads each component's own matrix at most once, its rows and
+    columns follow option order, and it holds one sum per class of equal
+    cells, so one object may fill many cells.
     """
 
     ruleset_tag = "sum"
@@ -54,16 +59,11 @@ class SumPosition(Position):
     def __init__(self, kind: str, components):
         if kind not in SUM_KINDS:
             raise BadParameters(f"unknown sum kind {kind!r}")
-        flat = []
-        for comp in components:
-            if isinstance(comp, SumPosition) and comp.kind == kind:
-                flat.extend(comp.components)
-            else:
-                flat.append(comp)
-        if len(flat) < 2:
+        parts = _parts(kind, components)
+        if len(parts) < 2:
             raise BadParameters("a sum needs at least two components")
         self.kind = kind
-        self.components = tuple(sorted(flat, key=lambda c: c.canonical_key()))
+        self.components = tuple(parts)
         self._key = f"{kind}({';'.join(c.canonical_key() for c in self.components)})"
 
     def __eq__(self, other):
@@ -141,58 +141,103 @@ class SumPosition(Position):
             return [(move,) for i in movers for move in moves(i)]
         return list(itertools.product(*map(moves, movers)))
 
-    def _successor(self, row, col=(), grids=None) -> "SumPosition":
+    def _successor(self, row, col=(), grids=None, build=None) -> "SumPosition":
         """The sum after Left plays strategy ``row`` and Right plays ``col``;
         ``col`` empty gives the successor of ``row`` alone, played by either
         player.  Each moved component takes its unilateral successor, but a
         component both players moved in takes the cell of its own move
-        matrix, read once into ``grids`` (component index -> cells).  Such a
-        component sits at the same place in both strategies: a ``+``
-        strategy is one move, and a ``^`` or ``v`` strategy moves in every
-        mover, in order."""
+        matrix, ``grids[i]`` for component ``i``.  Such a component sits at
+        the same place in both strategies: a ``+`` strategy is one move, and
+        a ``^`` or ``v`` strategy moves in every mover, in order.  The move
+        matrix passes ``build``, which makes one sum per class of equal
+        cells; an option is always a sum of its own."""
         comps = list(self.components)
         for i, _, _, succ in row:
             comps[i] = succ
         for (i, lk, _, _), (j, rk, _, succ) in zip(row, col):
-            if i == j:
-                if i not in grids:
-                    grids[i] = self.components[i].move_matrix().cells
-                succ = grids[i][lk][rk]
-            comps[j] = succ
-        return SumPosition(self.kind, comps)
+            comps[j] = grids[i][lk][rk] if i == j else succ
+        return build(comps) if build else SumPosition(self.kind, comps)
 
-    def _nested(self) -> dict:
-        """Right's options, Left's options and the move-matrix cells of every
-        sum nested in this one, by ``id``, built bottom up on ``_postorder``.
-        Empty, with no walk, unless a component holds a sum itself: a check
-        made on every ``options`` and ``move_matrix`` call, in one plain pass."""
+    def _nested(self, *parts) -> dict:
+        """For every sum nested in this one, by ``id``, the ``parts`` its
+        caller reads, built bottom up on ``_postorder``: Left's options under
+        ``True``, Right's under ``False``, the move matrix under ``"matrix"``.
+        ``options(left)`` asks for that player's options alone,
+        ``move_matrix`` for the matrix and both players' options, which a
+        ``+`` level reads.  Empty, with no walk, unless a component holds a
+        sum itself: a check made on every ``options`` and ``move_matrix``
+        call, in one plain pass."""
         built = {}
         for c in self.components:
             for d in c.components if isinstance(c, SumPosition) else ():
                 if isinstance(d, SumPosition):
                     sums = lambda p: [q for q in p.components if isinstance(q, SumPosition)]
-                    build = lambda p, _: (p._options(False, built), p._options(True, built), p._matrix(built).cells)
+                    build = lambda p, _: {
+                        part: p._matrix(built) if part == "matrix" else p._options(part, built)
+                        for part in parts
+                    }
                     _postorder(sums(self), sums, build, table=(built.get, built.__setitem__))
                     return built
         return built
 
     def options(self, left):
-        return self._options(left, self._nested())
+        return self._options(left, self._nested(left))
 
     def _options(self, left, built):
         return tuple((_label(s), self._successor(s)) for s in self._strategies(left, built))
 
     def move_matrix(self) -> MoveMatrix:
-        """Rows and columns follow option order."""
-        return self._matrix(self._nested())
+        """Rows and columns follow option order; one object may fill many cells."""
+        return self._matrix(self._nested(True, False, "matrix"))
 
     def _matrix(self, built) -> MoveMatrix:
+        """One sum per class of equal cells.  Every unilateral successor of a
+        ``+`` strategy and every cell of a live component's own matrix is
+        mapped to the first ``==`` one met (``reps``); a cell is looked up in
+        ``made`` by the ids of its components as placed, then as the sum
+        keeps them (flattened and sorted), and built only when both miss.
+        Equality, not the key, decides, so key-equal but unequal boards stay
+        apart.  Every object whose id is used stays alive for the whole build:
+        it is held by ``self.components`` or by ``reps``."""
         if self.is_terminal():
             return EMPTY_MATRIX
-        rows = self._strategies(True, built)
-        cols = self._strategies(False, built)
-        grids = {i: built[id(c)][2] for i, c in enumerate(self.components) if id(c) in built}
-        cells = tuple(tuple(self._successor(row, col, grids) for col in cols) for row in rows)
+        reps, made = {}, {}
+        same = lambda q: reps.setdefault(q, q)
+
+        def build(comps):
+            placed = tuple(map(id, comps))
+            if (cell := made.get(placed)) is None:
+                parts = tuple(map(same, _parts(self.kind, comps)))
+                kept = tuple(map(id, parts))
+                if (cell := made.get(kept)) is None:
+                    cell = made[kept] = SumPosition(self.kind, parts)
+                made[placed] = cell
+            return cell
+
+        # Both players move in exactly the live components: every one for
+        # ``^`` and ``v``, and ``+`` cells where the two moves meet.
+        own = {
+            i: built[id(c)]["matrix"] if id(c) in built else c.move_matrix()
+            for i, c in enumerate(self.components)
+            if not c.is_terminal()
+        }
+        grids = {i: [list(map(same, r)) for r in m.cells] for i, m in own.items()}
+        if self.kind == DISJUNCTIVE:
+            rows, cols = (
+                [((i, k, lbl, same(succ)),) for ((i, k, lbl, succ),) in self._strategies(left, built)]
+                for left in (True, False)
+            )
+        else:
+            # A ``^`` or ``v`` strategy is a row (column) of every live
+            # component's own matrix, so no unilateral successor is read.
+            def picks(left):
+                return list(itertools.product(*(
+                    [(i, k, lbl, None) for k, lbl in enumerate(m.row_labels if left else m.col_labels)]
+                    for i, m in own.items()
+                )))
+
+            rows, cols = picks(True), picks(False)
+        cells = tuple(tuple(self._successor(row, col, grids, build) for col in cols) for row in rows)
         return MoveMatrix(tuple(map(_label, rows)), tuple(map(_label, cols)), cells)
 
     def _score(self) -> Fraction:
@@ -204,6 +249,18 @@ class SumPosition(Position):
         add = lambda p, kids: sum(kids, Fraction(0)) if isinstance(p, SumPosition) else p.terminal_score()
         (total,) = _postorder([self], parts, add)
         return total
+
+
+def _parts(kind, components) -> list:
+    """A sum's components: those of a sum of the same kind spliced in, then
+    stably sorted by key."""
+    flat = []
+    for comp in components:
+        if isinstance(comp, SumPosition) and comp.kind == kind:
+            flat.extend(comp.components)
+        else:
+            flat.append(comp)
+    return sorted(flat, key=lambda c: c.canonical_key())
 
 
 def _label(strategy) -> str:

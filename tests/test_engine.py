@@ -30,7 +30,7 @@ from simulgame.rulesets import (
     hb_stalk,
     sq,
 )
-from simulgame.sums import conjunctive, continued_conjunctive, disjunctive
+from simulgame.sums import SumPosition, conjunctive, continued_conjunctive, disjunctive
 
 F = Fraction
 
@@ -504,3 +504,20 @@ def test_memo_traffic_is_pinned(monkeypatch):
         counts.update(get=0, put=0)
         query()
         assert counts == {"get": gets, "put": puts}
+
+
+def test_sum_construction_is_pinned(monkeypatch):
+    """Sums built while evaluating a ^ pair of strips: one per class of equal
+    cells in each matrix the walk builds, where the memo traffic above is
+    one lookup per cell."""
+    built = []
+    init = SumPosition.__init__
+
+    def counting(self, kind, components):
+        built.append(kind)
+        init(self, kind, components)
+
+    game = parse("sq{1,2}{1,3}(7) ^ sq{1,2}{2,3}(6)")
+    monkeypatch.setattr(SumPosition, "__init__", counting)
+    evaluate(game, NORMAL, memo=Memo())
+    assert len(built) == 135

@@ -507,6 +507,14 @@ def test_sum_successors_reproduce_pins():
         assert _sum_pin(pin["text"]) == pin, pin["text"]
 
 
+# Sums where many cells have both players moving in one component.
+JOINT_TEXTS = [
+    "cl[XOX] ^ sq{1}{2}(3) ^ sq'{1}{2}(3)",
+    "sq{1,2}{1,3}(4) + sq{1,2}{1,3}(4)",
+    "(cl[OXO] + sq{1}{2}(3)) ^ (hb[BR] v sq{1}{2}(2))",
+]
+
+
 def test_sum_matrix_builds_each_component_matrix_once(monkeypatch):
     # The pinned sums, plus sums where many cells have both players moving
     # in one component: each component's own matrix is built at most once
@@ -519,18 +527,65 @@ def test_sum_matrix_builds_each_component_matrix_once(monkeypatch):
             return original(self)
 
         monkeypatch.setattr(cls, "move_matrix", counting)
-    texts = _pin_texts() + [
-        "cl[XOX] ^ sq{1}{2}(3) ^ sq'{1}{2}(3)",
-        "sq{1,2}{1,3}(4) + sq{1,2}{1,3}(4)",
-        "(cl[OXO] + sq{1}{2}(3)) ^ (hb[BR] v sq{1}{2}(2))",
-    ]
-    for text in texts:
+    for text in _pin_texts() + JOINT_TEXTS:
         s = parse(text)
         built.clear()
         s.move_matrix()
         for c in s.components:
             copies = sum(d is c for d in s.components)
             assert sum(b is c for b in built) <= copies, (text, c.canonical_key())
+
+
+def _strategies_by_hand(s, left):
+    """Label -> {component index: option label} for each of one player's
+    pure strategies, enumerated from the components' own options."""
+    moves = [[(i, lbl) for lbl, _ in c.options(left)] for i, c in enumerate(s.components)]
+    if s.kind == "+":
+        picks = [(move,) for per in moves for move in per]
+    else:
+        live = [per for per, c in zip(moves, s.components) if s.kind == "^" or not c.is_terminal()]
+        picks = itertools.product(*live)
+    return {"|".join(f"{i}:{lbl}" for i, lbl in pick): dict(pick) for pick in picks}
+
+
+def _cell_by_hand(s, left_moves, right_moves):
+    comps = list(s.components)
+    for i, c in enumerate(s.components):
+        if i in left_moves and i in right_moves:
+            comps[i] = c.joint_option(left_moves[i], right_moves[i])
+        elif i in left_moves or i in right_moves:
+            left = i in left_moves
+            comps[i] = dict(c.options(left))[(left_moves if left else right_moves)[i]]
+    return SumPosition(s.kind, comps)
+
+
+def test_sum_matrix_builds_each_distinct_cell_once(monkeypatch):
+    # Each cell equals the sum of the component successors its move pair
+    # reaches, equal cells are one object, and one move_matrix call builds
+    # one sum of its own kind per class of equal cells.  Nested sums of
+    # other kinds build their own options and cells, which are not counted.
+    made = []
+    init = SumPosition.__init__
+
+    def counting(self, kind, components):
+        init(self, kind, components)
+        made.append(self)
+
+    texts = _pin_texts() + JOINT_TEXTS + ["sq{1,2}{1,3}(7) ^ sq{1,2}{2,3}(6)"]
+    for text in texts:
+        s = parse(text)
+        monkeypatch.setattr(SumPosition, "__init__", counting)
+        made.clear()
+        m = s.move_matrix()
+        monkeypatch.setattr(SumPosition, "__init__", init)
+        rows, cols = _strategies_by_hand(s, True), _strategies_by_hand(s, False)
+        classes = {}
+        for row, cells in zip(m.row_labels, m.cells):
+            for col, cell in zip(m.col_labels, cells):
+                assert cell == _cell_by_hand(s, rows[row], cols[col]), (text, row, col)
+                assert classes.setdefault(cell, cell) is cell, (text, row, col)
+        own = [q for q in made if q.kind == s.kind]
+        assert sorted(map(id, own)) == sorted(map(id, classes)), text
 
 
 def _alternating(levels, inner, kinds=(conjunctive, disjunctive)):
