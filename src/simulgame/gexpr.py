@@ -36,7 +36,7 @@ from .errors import (
     BadLiteral, BadParameters, GameSyntaxError, MixedOperators, SimulgameError, SizeLimit, UnknownRuleset
 )
 from .position import (
-    ExplicitGame, Position, ScoreLiteral, outcome_literal, require_position, score
+    ExplicitGame, Position, ScoreLiteral, _postorder, outcome_literal, require_position, score
 )
 from .rulesets import (
     BUILTIN_BOARDS,
@@ -339,18 +339,28 @@ def render_position(p) -> str:
     Display helper for the CLI; positions that left the literal families
     (pruned graphs, strips that prime Right after a role swap) fall back to
     their canonical keys, which are not reparseable.  A clobber board prints
-    its own edges and occupancy instead, since its key is relabelled.  Text
-    that passes ``MAX_TEXT`` characters raises ``SizeLimit`` as it is written.
+    its own edges and occupancy instead, since its key is relabelled.  The
+    text is sized first, on ``_postorder`` with one length per distinct
+    subgame, and text longer than ``MAX_TEXT`` characters raises
+    ``SizeLimit`` before any of it is written.
     """
-    out, size, stack = [], 0, [iter(_parts(p))]
+    own = {}  # id -> the length of a subgame's own strings
+
+    def subgames(q):
+        parts = _parts(q)
+        own[id(q)] = sum(len(part) for part in parts if isinstance(part, str))
+        return [part for part in parts if not isinstance(part, str)]
+
+    (size,) = _postorder([p], subgames, lambda q, sizes: own[id(q)] + sum(sizes))
+    if size > MAX_TEXT:
+        raise SizeLimit(f"the game's text runs past {MAX_TEXT} characters")
+    out, stack = [], [iter(_parts(p))]
     while stack:
         for part in stack[-1]:
             if not isinstance(part, str):
                 stack.append(iter(_parts(part)))
                 break
             out.append(part)
-            if (size := size + len(part)) > MAX_TEXT:
-                raise SizeLimit(f"the game's text runs past {MAX_TEXT} characters")
         else:
             stack.pop()
     return "".join(out)

@@ -11,7 +11,10 @@ matrix.  Terminality and the terminal outcome under the move-based winning
 convention derive from the option lists.  ``terminal_score`` is the one
 public score: it checks that play has stopped, then calls the hook ``_score``.
 Positions are immutable and hashable; evaluation never mutates them.
-Equal explicit games are one object, so their equality is identity.
+Equal strips, sums and explicit games are one object (``_interned``), so
+their equality is identity; boards compare by their fields.  A sum reads
+its components through ``Position._kept``, which keeps their option lists
+and move matrix on them; nothing else keeps either.
 """
 
 from __future__ import annotations
@@ -51,6 +54,23 @@ class MoveMatrix:
 
 EMPTY_MATRIX = MoveMatrix((), (), ())
 
+# Field tuple, its type first -> the one live position with those fields
+# (or a strip family's own table, see ``SqPosition``).  ``_interned`` reads
+# and writes every table under the one lock, so two threads never make two.
+_LIVE = weakref.WeakValueDictionary()
+_LIVE_LOCK = threading.Lock()
+
+
+def _interned(fields, make, table=_LIVE):
+    """The live position with ``fields`` in ``table``, made and checked by
+    ``make()`` when there is none.  A table holds positions weakly: one goes
+    as soon as nothing else holds it."""
+    with _LIVE_LOCK:
+        position = table.get(fields)
+        if position is None:
+            position = table[fields] = make()
+        return position
+
 
 class Mobility(NamedTuple):
     """Who can move, and who still has a move when play stops (``left_ok``,
@@ -61,6 +81,9 @@ class Mobility(NamedTuple):
     left_ok: bool
     right_ok: bool
 
+
+# The attribute that keeps each part ``Position._kept`` reads.
+_KEPT = {True: "_left_kept", False: "_right_kept", "matrix": "_matrix_kept"}
 
 # The four readings of a plain position, shared by every instance.
 _PLAIN = {(lm, rm): Mobility(lm, rm, lm, rm) for lm in (False, True) for rm in (False, True)}
@@ -113,6 +136,19 @@ class Position:
     def _read_mobility(self) -> Mobility:
         """A plain position reads its own option lists; a composite overrides this."""
         return _PLAIN[bool(self.options(True)), bool(self.options(False))]
+
+    # Kept only by ``_kept``, through which a sum reads its components, so a
+    # position the walk merely expands keeps none of them.
+    _left_kept = _right_kept = _matrix_kept = None
+
+    def _kept(self, part):
+        """Left's or Right's options (``part`` true or false) or, under
+        ``"matrix"``, the move matrix: built on first use and kept on the instance."""
+        name = _KEPT[part]
+        if (kept := getattr(self, name)) is None:
+            kept = self.move_matrix() if part == "matrix" else self.options(part)
+            object.__setattr__(self, name, kept)
+        return kept
 
     def is_terminal(self) -> bool:
         """Simultaneous option set empty: either player is out of moves."""
@@ -255,12 +291,6 @@ def score(value) -> ScoreLiteral:
     return ScoreLiteral(Fraction(value))
 
 
-# Field tuple -> the one live explicit game with those fields, read and
-# registered under the lock so that two threads never make two equal games.
-_LIVE_GAMES = weakref.WeakValueDictionary()
-_LIVE_GAMES_LOCK = threading.Lock()
-
-
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class ExplicitGame(Position):
     """A game given literally by its option lists and simultaneous table.
@@ -274,19 +304,18 @@ class ExplicitGame(Position):
     ruleset_tag = "explicit"
 
     def __new__(cls, lefts, rights, table):
-        if lefts and rights:
-            if [len(row) for row in table] != [len(rights)] * len(lefts):
-                raise BadParameters("LR grid must be |L| rows of |R| entries")
-        elif table:
-            raise BadParameters("LR grid must be empty when an option list is empty")
-        fields = (lefts, rights, table)
-        with _LIVE_GAMES_LOCK:
-            game = _LIVE_GAMES.get(fields)
-            if game is None:
-                game = super().__new__(cls)
-                vars(game).update(lefts=lefts, rights=rights, table=table)
-                _LIVE_GAMES[fields] = game
-        return game
+        def make():
+            if lefts and rights:
+                if [len(row) for row in table] != [len(rights)] * len(lefts):
+                    raise BadParameters("LR grid must be |L| rows of |R| entries")
+            elif table:
+                raise BadParameters("LR grid must be empty when an option list is empty")
+            game = object.__new__(cls)
+            for name, value in zip(cls.__dataclass_fields__, (lefts, rights, table)):
+                object.__setattr__(game, name, value)
+            return game
+
+        return _interned((cls, lefts, rights, table), make)
 
     def __reduce__(self):
         """Copies and unpickled games are the live game with equal fields."""

@@ -13,12 +13,13 @@ stalks, forests, cordons).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadCordonSpec, BadParameters
-from .position import Position
+from .position import Position, _interned
 
 BLUE, RED, GREEN = "B", "R", "G"
 
@@ -28,7 +29,7 @@ BLUE, RED, GREEN = "B", "R", "G"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SqPosition(Position):
     """A strip of n squares; players subtract from either end.
 
@@ -37,6 +38,8 @@ class SqPosition(Position):
     A primed player has no move at all on a strip of length 2:
     ``sq(primed=True)`` primes Left (the ``sq'`` variants), and
     ``right_primed`` mirrors it for Right so role swaps stay inside the type.
+    Equal strips are one object (the constructor returns the live strip
+    with equal fields, if any), so identity is field-wise equality.
     """
 
     left_set: frozenset[int]
@@ -47,13 +50,32 @@ class SqPosition(Position):
 
     ruleset_tag = "sq"
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise BadParameters("strip length must be >= 0")
-        if not self.left_set or not self.right_set:
-            raise BadParameters("subtraction sets must be nonempty")
-        if any(x <= 0 for x in self.left_set | self.right_set):
-            raise BadParameters("subtraction amounts must be positive")
+    def __new__(cls, left_set, right_set, n, left_primed=False, right_primed=False):
+        fields = (left_set, right_set, n, left_primed, right_primed)
+        # A family (sets and primes) is interned like a position, and its
+        # strips in its own table by length: a key tuple per strip would cost
+        # more than the duplicate strip it saves on a deep walk.  Each strip
+        # holds its family, so the family lives as long as any of its strips.
+        family = _interned((cls, left_set, right_set, left_primed, right_primed), weakref.WeakValueDictionary)
+
+        def make():
+            if n < 0:
+                raise BadParameters("strip length must be >= 0")
+            if not left_set or not right_set:
+                raise BadParameters("subtraction sets must be nonempty")
+            if any(x <= 0 for x in left_set | right_set):
+                raise BadParameters("subtraction amounts must be positive")
+            strip = object.__new__(cls)
+            for name, value in zip(cls.__dataclass_fields__, fields):
+                object.__setattr__(strip, name, value)
+            object.__setattr__(strip, "_family", family)
+            return strip
+
+        return _interned(n, make, family)
+
+    def __reduce__(self):
+        """Copies and unpickled strips are the live strip with equal fields."""
+        return SqPosition, (self.left_set, self.right_set, self.n, self.left_primed, self.right_primed)
 
     def options(self, left):
         if self.n == 2 and (self.left_primed if left else self.right_primed):
@@ -66,8 +88,11 @@ class SqPosition(Position):
         return tuple(out)
 
     def _at(self, n: int) -> "SqPosition":
-        """The strip of length n with this one's sets and primes."""
-        return SqPosition(self.left_set, self.right_set, n, self.left_primed, self.right_primed)
+        """The strip of length n with this one's sets and primes, read from
+        the family's table (no lock needed to read) when it is live."""
+        if (strip := self._family.get(n)) is None:
+            strip = SqPosition(self.left_set, self.right_set, n, self.left_primed, self.right_primed)
+        return strip
 
     def _joint(self, left_label, right_label) -> "SqPosition":
         """Apply a simultaneous pair of subtraction moves."""

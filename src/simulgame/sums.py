@@ -4,9 +4,10 @@ A sum is itself a position, so sums nest and components may come from
 different rulesets.  The three kinds differ only in their termination
 rules: ``SumPosition._read_mobility`` states when play stops and who wins,
 ``_strategies`` the components a player moves in and ``_score`` those whose
-scores count.  Nested sums are read, scored and given their options and
-move matrices bottom up, on ``position._postorder``, and compared on an
-explicit stack, so no operation on a sum recurses once per level.  A
+scores count.  Equal sums are one object, like equal strips and explicit
+games, so a sum compares by identity.  Nested sums are read, scored and
+given their options and move matrices bottom up, on ``position._postorder``,
+so no operation on a sum recurses once per level.  A
 player's pure strategy is one move in each component that player moves in,
 enumerated over each component's own ``options(left)``, or, in a ``^`` or
 ``v`` move matrix, where both players move in every live component, over
@@ -15,9 +16,11 @@ the rows and columns of that component's own matrix.  One successor rule,
 one player's strategy alone: each moved component takes its unilateral
 successor, except that a component both players moved in takes the cell
 of its own move matrix.  Every option of ``options(left)`` and every cell
-of the move matrix come from that rule.  A move matrix builds one sum per
-class of equal cells, so a matrix may hold one object in many cells, and a
-nested level builds only what its caller reads.  Evaluation of a sum is
+of the move matrix come from that rule.  A component keeps the options and
+matrix its sums read, so one strip or inner sum builds them once for every
+sum cell that holds it, and a nested level builds only what its caller
+reads.  Equal cells are one object, so a matrix may hold one object in many
+cells.  Evaluation of a sum is
 still global: the sum's matrix ranges over whole strategy tuples, and its
 components are never pre-reduced (reducing components first changes
 values; see the analysis module for the witnesses).
@@ -29,7 +32,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import BadParameters
-from .position import EMPTY_MATRIX, Mobility, MoveMatrix, Position, _postorder
+from .position import _KEPT, EMPTY_MATRIX, Mobility, MoveMatrix, Position, _interned, _postorder
 
 DISJUNCTIVE = "+"
 CONJUNCTIVE = "^"
@@ -39,49 +42,46 @@ SUM_KINDS = (DISJUNCTIVE, CONJUNCTIVE, CONTINUED)
 
 class SumPosition(Position):
     """A sum of at least two component positions, flattened and stably
-    sorted by component key.  Rearrangements share the key, memo entry and
-    value, but key-equal components keep their input order, and with it
-    the sum's equality and move labels.
+    sorted by component key.  Equal sums are one object: the constructor
+    returns the live sum of that kind with equal components in the same
+    order, if any, so a sum compares and hashes by identity.
+    Rearrangements share the key, memo entry and value, but key-equal
+    components keep their input order, and with it the sum's identity and
+    move labels; key-equal but unequal boards keep sums apart.
 
     The key is built eagerly, since it orders the components; the mobility
     reading is not, since most sums built as matrix cells are answered by
-    the memo and never asked who can move.  Equality compares the key, then
-    the components themselves, so it never merges sums whose components
-    only share an isomorphism class; the hash is the key's.
-    Options and matrix cells alike are built by ``_successor``; the move
-    matrix reads each component's own matrix at most once, its rows and
-    columns follow option order, and it holds one sum per class of equal
-    cells, so one object may fill many cells.
+    the memo and never asked who can move.
+    Options and matrix cells alike are built by ``_successor``.  A sum reads
+    its components' options and matrices through ``Position._kept``, so
+    each component builds them once for every sum that holds it.  The
+    matrix's rows and columns follow option order, and equal cells are one
+    object.
     """
 
     ruleset_tag = "sum"
 
-    def __init__(self, kind: str, components):
+    def __new__(cls, kind: str, components):
         if kind not in SUM_KINDS:
             raise BadParameters(f"unknown sum kind {kind!r}")
         parts = _parts(kind, components)
         if len(parts) < 2:
             raise BadParameters("a sum needs at least two components")
-        self.kind = kind
-        self.components = tuple(parts)
-        self._key = f"{kind}({';'.join(c.canonical_key() for c in self.components)})"
 
-    def __eq__(self, other):
-        """Key-equal sums compare level by level, on an explicit stack."""
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if not (isinstance(b, SumPosition) and a._key == b._key):
-                return False
-            for c, d in zip(a.components, b.components):
-                if isinstance(c, SumPosition):
-                    pairs.append((c, d))
-                elif c != d:
-                    return False
-        return True
+        def make():
+            s = object.__new__(cls)
+            s.kind, s.components = kind, parts
+            s._key = f"{kind}({';'.join(c.canonical_key() for c in parts)})"
+            return s
 
-    def __hash__(self):
-        return hash(self._key)
+        return _interned((cls, kind, parts), make)
+
+    def __init__(self, kind: str, components):
+        """Nothing to set: ``__new__`` returns the one live sum of these parts."""
+
+    def __reduce__(self):
+        """Copies and unpickled sums are the live sum with equal parts."""
+        return SumPosition, (self.kind, self.components)
 
     def __repr__(self):
         """One level only, so the text stays short on deep sums."""
@@ -119,20 +119,18 @@ class SumPosition(Position):
             live, judged = len(finished) < len(readings), readings
         return Mobility(live, live, all(m.left for m in judged), all(m.right for m in judged))
 
-    def _strategies(self, left: bool, built):
+    def _strategies(self, left: bool):
         """One player's pure strategies, each a tuple of component moves
         ``(component, option index, label, successor)``.  A player with no
         move anywhere has none; in particular a finished ``^`` or ``v`` sum
         offers none, while a finished ``+`` sum still offers the mobile
-        player's component moves.  A nested sum's options are read from
-        ``built`` when ``_nested`` has built them."""
+        player's component moves."""
         reading = self._mobility()
         if not (reading.left if left else reading.right):
             return []
 
         def moves(i):
-            entry = built.get(id(self.components[i]))
-            options = entry[left] if entry else self.components[i].options(left)
+            options = self.components[i]._kept(left)
             return [(i, k, lbl, succ) for k, (lbl, succ) in enumerate(options)]
 
         # ``+`` and ``^`` move in every component, ``v`` in the live ones.
@@ -149,8 +147,7 @@ class SumPosition(Position):
         matrix, ``grids[i]`` for component ``i``.  Such a component sits at
         the same place in both strategies: a ``+`` strategy is one move, and
         a ``^`` or ``v`` strategy moves in every mover, in order.  The move
-        matrix passes ``build``, which makes one sum per class of equal
-        cells; an option is always a sum of its own."""
+        matrix passes ``build``, which looks its cells up before making them."""
         comps = list(self.components)
         for i, _, _, succ in row:
             comps[i] = succ
@@ -158,75 +155,45 @@ class SumPosition(Position):
             comps[j] = grids[i][lk][rk] if i == j else succ
         return build(comps) if build else SumPosition(self.kind, comps)
 
-    def _nested(self, *parts) -> dict:
-        """For every sum nested in this one, by ``id``, the ``parts`` its
-        caller reads, built bottom up on ``_postorder``: Left's options under
-        ``True``, Right's under ``False``, the move matrix under ``"matrix"``.
-        ``options(left)`` asks for that player's options alone,
-        ``move_matrix`` for the matrix and both players' options, which a
-        ``+`` level reads.  Empty, with no walk, unless a component holds a
-        sum itself: a check made on every ``options`` and ``move_matrix``
-        call, in one plain pass."""
-        built = {}
-        for c in self.components:
-            for d in c.components if isinstance(c, SumPosition) else ():
-                if isinstance(d, SumPosition):
-                    sums = lambda p: [q for q in p.components if isinstance(q, SumPosition)]
-                    build = lambda p, _: {
-                        part: p._matrix(built) if part == "matrix" else p._options(part, built)
-                        for part in parts
-                    }
-                    _postorder(sums(self), sums, build, table=(built.get, built.__setitem__))
-                    return built
-        return built
+    def _fill(self, part) -> None:
+        """Keep ``part`` (as ``Position._kept`` names it) on every sum nested
+        in this one that lacks it, bottom up on ``_postorder``.  A nested
+        level then reads kept parts alone, or walks its own levels for a part
+        it lacks, so no call recurses once per level."""
+        name = _KEPT[part]
+        lacking = lambda p: [
+            c for c in p.components if isinstance(c, SumPosition) and getattr(c, name) is None
+        ]
+        if todo := lacking(self):
+            _postorder(todo, lacking, lambda p, _: p._kept(part))
 
     def options(self, left):
-        return self._options(left, self._nested(left))
-
-    def _options(self, left, built):
-        return tuple((_label(s), self._successor(s)) for s in self._strategies(left, built))
+        self._fill(left)
+        return tuple((_label(s), self._successor(s)) for s in self._strategies(left))
 
     def move_matrix(self) -> MoveMatrix:
-        """Rows and columns follow option order; one object may fill many cells."""
-        return self._matrix(self._nested(True, False, "matrix"))
-
-    def _matrix(self, built) -> MoveMatrix:
-        """One sum per class of equal cells.  Every unilateral successor of a
-        ``+`` strategy and every cell of a live component's own matrix is
-        mapped to the first ``==`` one met (``reps``); a cell is looked up in
-        ``made`` by the ids of its components as placed, then as the sum
-        keeps them (flattened and sorted), and built only when both miss.
-        Equality, not the key, decides, so key-equal but unequal boards stay
-        apart.  Every object whose id is used stays alive for the whole build:
-        it is held by ``self.components`` or by ``reps``."""
+        """Rows and columns follow option order; one object may fill many
+        cells.  A cell is looked up in ``made`` by the ids of its components
+        as placed, and built only on a miss.  Every object whose id is used
+        stays alive for the whole build: it is held by ``self.components``,
+        by their kept options and matrices, or by the strategies."""
         if self.is_terminal():
             return EMPTY_MATRIX
-        reps, made = {}, {}
-        same = lambda q: reps.setdefault(q, q)
+        self._fill("matrix")
+        made = {}
 
         def build(comps):
             placed = tuple(map(id, comps))
             if (cell := made.get(placed)) is None:
-                parts = tuple(map(same, _parts(self.kind, comps)))
-                kept = tuple(map(id, parts))
-                if (cell := made.get(kept)) is None:
-                    cell = made[kept] = SumPosition(self.kind, parts)
-                made[placed] = cell
+                cell = made[placed] = SumPosition(self.kind, comps)
             return cell
 
         # Both players move in exactly the live components: every one for
         # ``^`` and ``v``, and ``+`` cells where the two moves meet.
-        own = {
-            i: built[id(c)]["matrix"] if id(c) in built else c.move_matrix()
-            for i, c in enumerate(self.components)
-            if not c.is_terminal()
-        }
-        grids = {i: [list(map(same, r)) for r in m.cells] for i, m in own.items()}
+        own = {i: c._kept("matrix") for i, c in enumerate(self.components) if not c.is_terminal()}
+        grids = {i: m.cells for i, m in own.items()}
         if self.kind == DISJUNCTIVE:
-            rows, cols = (
-                [((i, k, lbl, same(succ)),) for ((i, k, lbl, succ),) in self._strategies(left, built)]
-                for left in (True, False)
-            )
+            rows, cols = self._strategies(True), self._strategies(False)
         else:
             # A ``^`` or ``v`` strategy is a row (column) of every live
             # component's own matrix, so no unilateral successor is read.
@@ -251,7 +218,7 @@ class SumPosition(Position):
         return total
 
 
-def _parts(kind, components) -> list:
+def _parts(kind, components) -> tuple:
     """A sum's components: those of a sum of the same kind spliced in, then
     stably sorted by key."""
     flat = []
@@ -260,7 +227,7 @@ def _parts(kind, components) -> list:
             flat.extend(comp.components)
         else:
             flat.append(comp)
-    return sorted(flat, key=lambda c: c.canonical_key())
+    return tuple(sorted(flat, key=lambda c: c.canonical_key()))
 
 
 def _label(strategy) -> str:

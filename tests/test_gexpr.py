@@ -5,12 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from simulgame import gexpr
+from simulgame.analysis import reduce_game
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate
 from simulgame.errors import (
     BadCordonSpec,
     BadLiteral,
     GameSyntaxError,
     MixedOperators,
+    SizeLimit,
     UnknownRuleset,
 )
 from simulgame.gexpr import MAX_NESTING, parse, render_position
@@ -252,3 +255,27 @@ def test_nesting_bound_counts_list_items():
     assert evaluate(p, NORMAL, memo=Memo()).ex == 0
     text = render_position(p)
     assert len(text) == 3172 and parse(text) == p
+
+
+def test_over_bound_text_is_sized_once_per_distinct_subgame(monkeypatch):
+    # The reduced sq{1}{2}(18) would print about two billion characters: the
+    # renderer sizes it from one length per distinct subgame and writes none.
+    game = reduce_game(parse("sq{1}{2}(18)"))
+    distinct, stack = {id(game): game}, [game]
+    while stack:
+        for g in _subgames(stack.pop()):
+            if id(g) not in distinct:
+                distinct[id(g)] = g
+                stack.append(g)
+    read = []
+    original = gexpr._parts
+    monkeypatch.setattr(gexpr, "_parts", lambda q: read.append(q) or original(q))
+    with pytest.raises(SizeLimit, match="runs past 1000000 characters"):
+        render_position(game)
+    assert sorted(map(id, read)) == sorted(distinct)
+
+
+def _subgames(g):
+    if isinstance(g, ExplicitGame):
+        return [*g.lefts, *g.rights, *(c for row in g.table for c in row)]
+    return g.components if isinstance(g, SumPosition) else ()

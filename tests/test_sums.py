@@ -1,14 +1,21 @@
 """Sum combinators: termination, winners, scores, and the negative results."""
 
+import copy
 import itertools
 import json
+import operator
+import pickle
 import random
+import sys
+import threading
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from simulgame import position, sums
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile, outcome
 from simulgame.errors import BadParameters, NotTerminal
 from simulgame.gexpr import parse
@@ -357,7 +364,9 @@ def test_predicates_read_each_component_once(monkeypatch):
         return original(self, left)
 
     monkeypatch.setattr(SqPosition, "options", counting)
-    s = continued_conjunctive(sq({1}, {5}, 2), s12(0))
+    # Strips are one object per field tuple, so these are strips no other
+    # test holds, with a reading of their own.
+    s = continued_conjunctive(sq({1}, {6}, 2), sq({1}, {7}, 0))
     for _ in range(5):
         assert s.is_terminal()
         reading = s._mobility()
@@ -560,32 +569,34 @@ def _cell_by_hand(s, left_moves, right_moves):
 
 
 def test_sum_matrix_builds_each_distinct_cell_once(monkeypatch):
-    # Each cell equals the sum of the component successors its move pair
-    # reaches, equal cells are one object, and one move_matrix call builds
-    # one sum of its own kind per class of equal cells.  Nested sums of
-    # other kinds build their own options and cells, which are not counted.
+    # Each cell is the sum of the component successors its move pair
+    # reaches, equal cells are one object, and one move_matrix call makes
+    # one new sum of its own kind per class of equal cells that was not
+    # alive before.  Nested sums of other kinds make their own options and
+    # cells, which are not counted.
     made = []
-    init = SumPosition.__init__
 
-    def counting(self, kind, components):
-        init(self, kind, components)
-        made.append(self)
+    def recording(fields, make):
+        return position._interned(fields, lambda: made.append(make()) or made[-1])
 
     texts = _pin_texts() + JOINT_TEXTS + ["sq{1,2}{1,3}(7) ^ sq{1,2}{2,3}(6)"]
     for text in texts:
         s = parse(text)
-        monkeypatch.setattr(SumPosition, "__init__", counting)
+        monkeypatch.setattr(sums, "_interned", recording)
         made.clear()
+        alive = list(position._LIVE.values())  # held, so their ids stay theirs
         m = s.move_matrix()
-        monkeypatch.setattr(SumPosition, "__init__", init)
+        monkeypatch.setattr(sums, "_interned", position._interned)
         rows, cols = _strategies_by_hand(s, True), _strategies_by_hand(s, False)
         classes = {}
         for row, cells in zip(m.row_labels, m.cells):
             for col, cell in zip(m.col_labels, cells):
-                assert cell == _cell_by_hand(s, rows[row], cols[col]), (text, row, col)
-                assert classes.setdefault(cell, cell) is cell, (text, row, col)
+                assert cell is _cell_by_hand(s, rows[row], cols[col]), (text, row, col)
+                classes[id(cell)] = cell
         own = [q for q in made if q.kind == s.kind]
-        assert sorted(map(id, own)) == sorted(map(id, classes)), text
+        before = set(map(id, alive))
+        assert sorted(map(id, own)) == sorted(k for k in classes if k not in before), text
+        del m, classes, own, alive
 
 
 def _alternating(levels, inner, kinds=(conjunctive, disjunctive)):
@@ -615,7 +626,8 @@ def test_deep_sum_hash_repr_and_inequality_need_no_recursion():
 
 
 def test_equal_deep_sums_compare_without_recursion():
-    assert _alternating(3000, sq({1}, {2}, 1)) == _alternating(3000, sq({1}, {2}, 1))
+    # Equal sums are one object, so they compare by identity at any depth.
+    assert _alternating(3000, sq({1}, {2}, 1)) is _alternating(3000, sq({1}, {2}, 1))
 
 
 def test_live_nested_sum_evaluates():
@@ -639,3 +651,68 @@ def test_rearranged_sum_shares_key_and_value_not_equality():
     assert first != second
     assert first.move_matrix().row_labels == ("0:0>1", "1:1>0")
     assert second.move_matrix().row_labels == ("0:1>0", "1:0>1")
+
+
+# -- identity --------------------------------------------------------------------
+
+
+def test_equal_strips_and_sums_are_one_object():
+    # Built apart, from equal but distinct sets, boards and scores.
+    strip = sq({1, 2}, {3}, 4)
+    assert strip is SqPosition(frozenset({2, 1}), frozenset({3}), 4, False, False)
+    assert strip is sq({1, 2}, {3}, 6)._at(4) is parse("sq{1,2}{3}(4)")
+    total = parse("(sq{1,2}{3}(4) + cl[XO]) ^ s(1)")
+    again = conjunctive(disjunctive(clobber_strip("XO"), sq({2, 1}, {3}, 4)), score(1))
+    assert total is again
+    for game in (strip, total):
+        assert copy.copy(game) is game
+        assert copy.deepcopy(game) is game
+        assert pickle.loads(pickle.dumps(game)) is game
+
+
+def test_mirror_boards_and_rearranged_sums_stay_apart():
+    # Boards are not interned: mirror boards share a key, not their fields.
+    xo, ox = clobber_strip("XO"), clobber_strip("OX")
+    assert xo.canonical_key() == ox.canonical_key() and xo != ox
+    assert xo == clobber_strip("XO") and xo is not clobber_strip("XO")
+    assert disjunctive(xo, score(1)) is not disjunctive(ox, score(1))
+    assert disjunctive(xo, ox) is not disjunctive(ox, xo)
+    assert disjunctive(xo, ox) is disjunctive(clobber_strip("XO"), clobber_strip("OX"))
+
+
+def test_an_evaluated_root_pins_nothing_once_dropped():
+    # Components keep the options and matrices their sums read, and the
+    # intern tables hold nothing: once the root goes, all its walk reached
+    # goes, a strip's family table included.
+    root = parse("(sq{2}{5}(7) + sq{3}{5}(6)) ^ (sq{2}{5}(5) + hb[BRB])")
+    evaluate(root, memo=Memo())
+    inner = next(c for c in root.components if all(isinstance(d, SqPosition) for d in c.components))
+    reached = [inner._kept("matrix").cells[0][0], inner.components[0]._kept("matrix").cells[0][0]]
+    assert [type(q) for q in reached] == [SumPosition, SqPosition]
+    refs = [weakref.ref(q) for q in (*reached, reached[1]._family)]
+    del root, inner, reached
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_threads_building_equal_positions_get_one_object():
+    # More threads than cores, switching often: a strip or sum made twice
+    # for equal fields would give two threads different objects.
+    got = [None] * 4
+
+    def build(k):
+        base = sq({1, 2}, {4}, 150)
+        strips = [base._at(n) for n in range(150)]
+        got[k] = strips + [disjunctive(a, b) for a, b in zip(strips, strips[1:])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(len(got))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(row) == 299 and all(map(operator.is_, row, got[0])) for row in got)
