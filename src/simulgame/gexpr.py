@@ -340,25 +340,27 @@ def render_position(p) -> str:
     (pruned graphs, strips that prime Right after a role swap) fall back to
     their canonical keys, which are not reparseable.  A clobber board prints
     its own edges and occupancy instead, since its key is relabelled.  The
-    text is sized first, on ``_postorder`` with one length per distinct
-    subgame, and text longer than ``MAX_TEXT`` characters raises
-    ``SizeLimit`` before any of it is written.
+    text is sized first, on ``_postorder``, reading the parts of each
+    distinct subgame once for both passes, and text longer than ``MAX_TEXT``
+    characters raises ``SizeLimit`` before any of it is written.
     """
-    own = {}  # id -> the length of a subgame's own strings
+    parts = {}  # id -> a distinct subgame's parts, read once for both passes
 
     def subgames(q):
-        parts = _parts(q)
-        own[id(q)] = sum(len(part) for part in parts if isinstance(part, str))
-        return [part for part in parts if not isinstance(part, str)]
+        parts[id(q)] = own = _parts(q)
+        return [part for part in own if not isinstance(part, str)]
 
-    (size,) = _postorder([p], subgames, lambda q, sizes: own[id(q)] + sum(sizes))
-    if size > MAX_TEXT:
+    def size(q, sizes):
+        return sum(len(part) for part in parts[id(q)] if isinstance(part, str)) + sum(sizes)
+
+    (total,) = _postorder([p], subgames, size)
+    if total > MAX_TEXT:
         raise SizeLimit(f"the game's text runs past {MAX_TEXT} characters")
-    out, stack = [], [iter(_parts(p))]
+    out, stack = [], [iter(parts[id(p)])]
     while stack:
         for part in stack[-1]:
             if not isinstance(part, str):
-                stack.append(iter(_parts(part)))
+                stack.append(iter(parts[id(part)]))
                 break
             out.append(part)
         else:

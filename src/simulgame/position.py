@@ -13,8 +13,8 @@ public score: it checks that play has stopped, then calls the hook ``_score``.
 Positions are immutable and hashable; evaluation never mutates them.
 Equal strips, sums and explicit games are one object (``_interned``), so
 their equality is identity; boards compare by their fields.  A sum reads
-its components through ``Position._kept``, which keeps their option lists
-and move matrix on them; nothing else keeps either.
+its components through ``Position._kept``, which keeps the option lists
+and move matrix of those three types on them; nothing else keeps either.
 """
 
 from __future__ import annotations
@@ -138,17 +138,27 @@ class Position:
         return _PLAIN[bool(self.options(True)), bool(self.options(False))]
 
     # Kept only by ``_kept``, through which a sum reads its components, so a
-    # position the walk merely expands keeps none of them.
+    # position the walk merely expands keeps none of them.  Only the
+    # interned types keep them (``_keeps``): boards are mostly distinct, so
+    # their parts would rarely be read twice, yet would hold the board DAG
+    # a walk explored for as long as the sum lives.
+    _keeps = False
     _left_kept = _right_kept = _matrix_kept = None
 
     def _kept(self, part):
         """Left's or Right's options (``part`` true or false) or, under
-        ``"matrix"``, the move matrix: built on first use and kept on the instance."""
+        ``"matrix"``, the move matrix: built on first use and, if the type
+        ``_keeps``, kept on the instance."""
         name = _KEPT[part]
         if (kept := getattr(self, name)) is None:
             kept = self.move_matrix() if part == "matrix" else self.options(part)
-            object.__setattr__(self, name, kept)
+            if self._keeps:
+                object.__setattr__(self, name, kept)
         return kept
+
+    def _has_kept(self, part) -> bool:
+        """Whether ``_kept`` has kept ``part`` on this instance."""
+        return getattr(self, _KEPT[part]) is not None
 
     def is_terminal(self) -> bool:
         """Simultaneous option set empty: either player is out of moves."""
@@ -302,6 +312,7 @@ class ExplicitGame(Position):
     table: tuple[tuple[Position, ...], ...]
 
     ruleset_tag = "explicit"
+    _keeps = True
 
     def __new__(cls, lefts, rights, table):
         def make():

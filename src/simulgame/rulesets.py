@@ -49,6 +49,7 @@ class SqPosition(Position):
     right_primed: bool = False
 
     ruleset_tag = "sq"
+    _keeps = True
 
     def __new__(cls, left_set, right_set, n, left_primed=False, right_primed=False):
         fields = (left_set, right_set, n, left_primed, right_primed)
@@ -88,11 +89,8 @@ class SqPosition(Position):
         return tuple(out)
 
     def _at(self, n: int) -> "SqPosition":
-        """The strip of length n with this one's sets and primes, read from
-        the family's table (no lock needed to read) when it is live."""
-        if (strip := self._family.get(n)) is None:
-            strip = SqPosition(self.left_set, self.right_set, n, self.left_primed, self.right_primed)
-        return strip
+        """The strip of length n with this one's sets and primes."""
+        return SqPosition(self.left_set, self.right_set, n, self.left_primed, self.right_primed)
 
     def _joint(self, left_label, right_label) -> "SqPosition":
         """Apply a simultaneous pair of subtraction moves."""

@@ -16,14 +16,14 @@ the rows and columns of that component's own matrix.  One successor rule,
 one player's strategy alone: each moved component takes its unilateral
 successor, except that a component both players moved in takes the cell
 of its own move matrix.  Every option of ``options(left)`` and every cell
-of the move matrix come from that rule.  A component keeps the options and
-matrix its sums read, so one strip or inner sum builds them once for every
-sum cell that holds it, and a nested level builds only what its caller
-reads.  Equal cells are one object, so a matrix may hold one object in many
-cells.  Evaluation of a sum is
-still global: the sum's matrix ranges over whole strategy tuples, and its
-components are never pre-reduced (reducing components first changes
-values; see the analysis module for the witnesses).
+of the move matrix come from that rule.  An interned component keeps the
+options and matrix its sums read, so one strip or inner sum builds them
+once for every sum cell that holds it (a board builds them for each), and
+a nested level builds only what its caller reads.  Equal cells are one
+object, so a matrix may hold one object in many cells.  Evaluation of a
+sum is still global: the sum's matrix ranges over whole strategy tuples,
+and its components are never pre-reduced (reducing components first
+changes values; see the analysis module for the witnesses).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import BadParameters
-from .position import _KEPT, EMPTY_MATRIX, Mobility, MoveMatrix, Position, _interned, _postorder
+from .position import EMPTY_MATRIX, Mobility, MoveMatrix, Position, _interned, _postorder
 
 DISJUNCTIVE = "+"
 CONJUNCTIVE = "^"
@@ -53,13 +53,14 @@ class SumPosition(Position):
     reading is not, since most sums built as matrix cells are answered by
     the memo and never asked who can move.
     Options and matrix cells alike are built by ``_successor``.  A sum reads
-    its components' options and matrices through ``Position._kept``, so
-    each component builds them once for every sum that holds it.  The
-    matrix's rows and columns follow option order, and equal cells are one
-    object.
+    its components' options and matrices through ``Position._kept``, so a
+    strip, sum or explicit game builds them once for every sum that holds
+    it.  The matrix's rows and columns follow option order, and equal cells
+    are one object.
     """
 
     ruleset_tag = "sum"
+    _keeps = True
 
     def __new__(cls, kind: str, components):
         if kind not in SUM_KINDS:
@@ -160,9 +161,8 @@ class SumPosition(Position):
         in this one that lacks it, bottom up on ``_postorder``.  A nested
         level then reads kept parts alone, or walks its own levels for a part
         it lacks, so no call recurses once per level."""
-        name = _KEPT[part]
         lacking = lambda p: [
-            c for c in p.components if isinstance(c, SumPosition) and getattr(c, name) is None
+            c for c in p.components if isinstance(c, SumPosition) and not c._has_kept(part)
         ]
         if todo := lacking(self):
             _postorder(todo, lacking, lambda p, _: p._kept(part))
@@ -176,7 +176,7 @@ class SumPosition(Position):
         cells.  A cell is looked up in ``made`` by the ids of its components
         as placed, and built only on a miss.  Every object whose id is used
         stays alive for the whole build: it is held by ``self.components``,
-        by their kept options and matrices, or by the strategies."""
+        by the component matrices in ``own`` or by the strategies."""
         if self.is_terminal():
             return EMPTY_MATRIX
         self._fill("matrix")

@@ -261,18 +261,36 @@ def test_over_bound_text_is_sized_once_per_distinct_subgame(monkeypatch):
     # The reduced sq{1}{2}(18) would print about two billion characters: the
     # renderer sizes it from one length per distinct subgame and writes none.
     game = reduce_game(parse("sq{1}{2}(18)"))
+    read = _count_parts(monkeypatch)
+    with pytest.raises(SizeLimit, match="runs past 1000000 characters"):
+        render_position(game)
+    assert sorted(map(id, read)) == sorted(_distinct(game))
+
+
+def test_in_bound_text_reads_each_distinct_subgame_once(monkeypatch):
+    # The sizing pass and the writing pass share one read of each subgame.
+    game = reduce_game(parse("sq{1}{2}(8)"))
+    read = _count_parts(monkeypatch)
+    text = render_position(game)
+    assert sorted(map(id, read)) == sorted(_distinct(game))
+    assert parse(text) is game
+
+
+def _count_parts(monkeypatch) -> list:
+    read = []
+    original = gexpr._parts
+    monkeypatch.setattr(gexpr, "_parts", lambda q: read.append(q) or original(q))
+    return read
+
+
+def _distinct(game) -> dict:
     distinct, stack = {id(game): game}, [game]
     while stack:
         for g in _subgames(stack.pop()):
             if id(g) not in distinct:
                 distinct[id(g)] = g
                 stack.append(g)
-    read = []
-    original = gexpr._parts
-    monkeypatch.setattr(gexpr, "_parts", lambda q: read.append(q) or original(q))
-    with pytest.raises(SizeLimit, match="runs past 1000000 characters"):
-        render_position(game)
-    assert sorted(map(id, read)) == sorted(distinct)
+    return distinct
 
 
 def _subgames(g):

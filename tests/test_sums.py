@@ -20,7 +20,7 @@ from simulgame.engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile,
 from simulgame.errors import BadParameters, NotTerminal
 from simulgame.gexpr import parse
 from simulgame.position import ExplicitGame, Position, outcome_literal, score, v_a
-from simulgame.rulesets import SqPosition, clobber_strip, hb_stalk, sq
+from simulgame.rulesets import HackenbushPosition, SqPosition, clobber_strip, hb_stalk, sq
 from simulgame.sums import SumPosition, conjunctive, continued_conjunctive, disjunctive
 from simulgame.verify import additivity_sample
 
@@ -692,6 +692,18 @@ def test_an_evaluated_root_pins_nothing_once_dropped():
     refs = [weakref.ref(q) for q in (*reached, reached[1]._family)]
     del root, inner, reached
     assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_boards_keep_no_parts():
+    # A sum reads a board's options and matrix afresh each time: boards are
+    # mostly distinct, so keeping their parts would save little and hold
+    # the board DAG a walk explored.
+    total = parse("sq{2}{5}(5) + hb[BRB]")
+    evaluate(total, memo=Memo())
+    strip, board = sorted(total.components, key=lambda c: not isinstance(c, SqPosition))
+    assert isinstance(board, HackenbushPosition)
+    assert all(strip._has_kept(part) for part in (True, False, "matrix"))
+    assert not any(board._has_kept(part) for part in (True, False, "matrix"))
 
 
 def test_threads_building_equal_positions_get_one_object():
