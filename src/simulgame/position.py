@@ -11,10 +11,11 @@ matrix.  Terminality and the terminal outcome under the move-based winning
 convention derive from the option lists.  ``terminal_score`` is the one
 public score: it checks that play has stopped, then calls the hook ``_score``.
 Positions are immutable and hashable; evaluation never mutates them.
-Equal strips, sums and explicit games are one object (``_interned``), so
-their equality is identity; boards compare by their fields.  A sum reads
-its components through ``Position._kept``, which keeps the option lists
-and move matrix of those three types on them; nothing else keeps either.
+Every position is a frozen dataclass, copied and pickled by its fields.
+``_interned`` makes every strip, sum and explicit game, one per type and
+fields, so their equality is identity; boards compare by their fields.  A
+sum reads its components through ``Position._kept``, which keeps the option
+lists and move matrix of those three types on them; nothing else keeps either.
 """
 
 from __future__ import annotations
@@ -54,21 +55,28 @@ class MoveMatrix:
 
 EMPTY_MATRIX = MoveMatrix((), (), ())
 
-# Field tuple, its type first -> the one live position with those fields
-# (or a strip family's own table, see ``SqPosition``).  ``_interned`` reads
-# and writes every table under the one lock, so two threads never make two.
+# (type, *fields) -> the one live strip, sum or explicit game with those
+# fields.  ``_interned`` reads and writes it under the lock, so two threads
+# never make two.
 _LIVE = weakref.WeakValueDictionary()
 _LIVE_LOCK = threading.Lock()
 
 
-def _interned(fields, make, table=_LIVE):
-    """The live position with ``fields`` in ``table``, made and checked by
-    ``make()`` when there is none.  A table holds positions weakly: one goes
-    as soon as nothing else holds it."""
+def _interned(cls, fields, check=None):
+    """The live ``cls`` with ``fields`` (in ``cls.__dataclass_fields__``
+    order), made when there is none, once ``check()``, if given, has passed.
+    The table holds positions weakly: one goes as soon as nothing else
+    holds it."""
+    key = (cls, *fields)
     with _LIVE_LOCK:
-        position = table.get(fields)
+        position = _LIVE.get(key)
         if position is None:
-            position = table[fields] = make()
+            if check is not None:
+                check()
+            position = object.__new__(cls)
+            for name, value in zip(cls.__dataclass_fields__, fields):
+                object.__setattr__(position, name, value)
+            _LIVE[key] = position
         return position
 
 
@@ -115,6 +123,11 @@ class Position:
         raise NotImplementedError
 
     # Derived behaviour ------------------------------------------------------
+
+    def __reduce__(self):
+        """Rebuilt from its fields: a copied or unpickled strip, sum or
+        explicit game is the live one, any other position an equal one."""
+        return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
 
     _key = None
 
@@ -315,22 +328,14 @@ class ExplicitGame(Position):
     _keeps = True
 
     def __new__(cls, lefts, rights, table):
-        def make():
+        def check():
             if lefts and rights:
                 if [len(row) for row in table] != [len(rights)] * len(lefts):
                     raise BadParameters("LR grid must be |L| rows of |R| entries")
             elif table:
                 raise BadParameters("LR grid must be empty when an option list is empty")
-            game = object.__new__(cls)
-            for name, value in zip(cls.__dataclass_fields__, (lefts, rights, table)):
-                object.__setattr__(game, name, value)
-            return game
 
-        return _interned((cls, lefts, rights, table), make)
-
-    def __reduce__(self):
-        """Copies and unpickled games are the live game with equal fields."""
-        return ExplicitGame, (self.lefts, self.rights, self.table)
+        return _interned(cls, (lefts, rights, table), check)
 
     def __repr__(self):
         """One level only, so the text stays short on deep or shared games."""

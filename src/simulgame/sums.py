@@ -29,6 +29,7 @@ changes values; see the analysis module for the witnesses).
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameters
@@ -40,6 +41,7 @@ CONTINUED = "v"
 SUM_KINDS = (DISJUNCTIVE, CONJUNCTIVE, CONTINUED)
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class SumPosition(Position):
     """A sum of at least two component positions, flattened and stably
     sorted by component key.  Equal sums are one object: the constructor
@@ -49,15 +51,18 @@ class SumPosition(Position):
     components keep their input order, and with it the sum's identity and
     move labels; key-equal but unequal boards keep sums apart.
 
-    The key is built eagerly, since it orders the components; the mobility
-    reading is not, since most sums built as matrix cells are answered by
-    the memo and never asked who can move.
+    The key and the mobility reading are built on first use.  The key reads
+    only the components' keys, which sorting them built when the sum was
+    made, so keying a deep sum never recurses.
     Options and matrix cells alike are built by ``_successor``.  A sum reads
     its components' options and matrices through ``Position._kept``, so a
     strip, sum or explicit game builds them once for every sum that holds
     it.  The matrix's rows and columns follow option order, and equal cells
     are one object.
     """
+
+    kind: str
+    components: tuple[Position, ...]
 
     ruleset_tag = "sum"
     _keeps = True
@@ -68,25 +73,18 @@ class SumPosition(Position):
         parts = _parts(kind, components)
         if len(parts) < 2:
             raise BadParameters("a sum needs at least two components")
-
-        def make():
-            s = object.__new__(cls)
-            s.kind, s.components = kind, parts
-            s._key = f"{kind}({';'.join(c.canonical_key() for c in parts)})"
-            return s
-
-        return _interned((cls, kind, parts), make)
+        return _interned(cls, (kind, parts))
 
     def __init__(self, kind: str, components):
         """Nothing to set: ``__new__`` returns the one live sum of these parts."""
 
-    def __reduce__(self):
-        """Copies and unpickled sums are the live sum with equal parts."""
-        return SumPosition, (self.kind, self.components)
-
     def __repr__(self):
         """One level only, so the text stays short on deep sums."""
         return f"SumPosition({self.kind} [{','.join(c.ruleset_tag for c in self.components)}])"
+
+    def _key_text(self) -> str:
+        """One level: ``_parts`` built the components' keys."""
+        return f"{self.kind}({';'.join(c.canonical_key() for c in self.components)})"
 
     # -- option structure ----------------------------------------------------
 

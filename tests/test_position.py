@@ -180,12 +180,19 @@ def test_copies_of_an_explicit_game_are_the_game_itself():
 
 
 def test_live_explicit_games_are_not_kept_alive():
-    before = len(position._LIVE)
-    games = [ExplicitGame((score(Fraction(i, 1_000_003)),), (), ()) for i in range(1, 1001)]
-    assert len(position._LIVE) == before + 1000
-    del games
-    gc.collect()
-    assert len(position._LIVE) == before
+    # Explicit games, strips and sums share one table, one entry each.
+    fresh = [
+        lambda i: ExplicitGame((score(Fraction(i, 1_000_003)),), (), ()),
+        lambda i: sq({1_000_003}, {1}, i),
+        lambda i: disjunctive(score(Fraction(i, 1_000_003)), score(0)),
+    ]
+    for make in fresh:
+        before = len(position._LIVE)
+        games = [make(i) for i in range(1, 1001)]
+        assert len(position._LIVE) == before + 1000
+        del games
+        gc.collect()
+        assert len(position._LIVE) == before
 
 
 def test_explicit_grid_messages():

@@ -576,8 +576,12 @@ def test_sum_matrix_builds_each_distinct_cell_once(monkeypatch):
     # cells, which are not counted.
     made = []
 
-    def recording(fields, make):
-        return position._interned(fields, lambda: made.append(make()) or made[-1])
+    def recording(cls, fields, check=None):
+        fresh = (cls, *fields) not in position._LIVE
+        got = position._interned(cls, fields, check)
+        if fresh:
+            made.append(got)
+        return got
 
     texts = _pin_texts() + JOINT_TEXTS + ["sq{1,2}{1,3}(7) ^ sq{1,2}{2,3}(6)"]
     for text in texts:
@@ -668,6 +672,10 @@ def test_equal_strips_and_sums_are_one_object():
         assert copy.copy(game) is game
         assert copy.deepcopy(game) is game
         assert pickle.loads(pickle.dumps(game)) is game
+    # Positions that are not interned round-trip to an equal position.
+    for game in (clobber_strip("XOX"), hb_stalk("BRG"), score(F(-2, 3))):
+        for twin in (copy.copy(game), copy.deepcopy(game), pickle.loads(pickle.dumps(game))):
+            assert twin == game and twin.canonical_key() == game.canonical_key()
 
 
 def test_mirror_boards_and_rearranged_sums_stay_apart():
@@ -682,16 +690,19 @@ def test_mirror_boards_and_rearranged_sums_stay_apart():
 
 def test_an_evaluated_root_pins_nothing_once_dropped():
     # Components keep the options and matrices their sums read, and the
-    # intern tables hold nothing: once the root goes, all its walk reached
-    # goes, a strip's family table included.
+    # intern table holds nothing: once the root goes, all its walk reached
+    # goes, from the table too.
     root = parse("(sq{2}{5}(7) + sq{3}{5}(6)) ^ (sq{2}{5}(5) + hb[BRB])")
     evaluate(root, memo=Memo())
     inner = next(c for c in root.components if all(isinstance(d, SqPosition) for d in c.components))
     reached = [inner._kept("matrix").cells[0][0], inner.components[0]._kept("matrix").cells[0][0]]
     assert [type(q) for q in reached] == [SumPosition, SqPosition]
-    refs = [weakref.ref(q) for q in (*reached, reached[1]._family)]
+    # Strips alone, so a key names one position.
+    keys = {q.canonical_key() for q in reached}
+    refs = [weakref.ref(q) for q in reached]
     del root, inner, reached
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None, None]
+    assert not keys & {q.canonical_key() for q in list(position._LIVE.values())}
 
 
 def test_boards_keep_no_parts():
