@@ -37,14 +37,14 @@ def reduce_game(p: Position, convention: str = NORMAL, *, memo: Memo | None = No
     as the result's keys spell a shared subgame once per path to it.  Equal
     subgames are reduced once per call and share one result, keyed by the
     positions themselves, not by keys: one key can stand for boards whose
-    options come in other orders.  Equal results are one object, as equal
-    explicit games always are.
+    options come in other orders.  Equal results are one object, and option
+    lists are read through ``Position._kept``, as every reader but the walk does.
     """
     memo = memo if memo is not None else Memo()
 
     def successors(q: Position) -> list:
         cells = q.move_matrix().cells
-        moves = [g for _, g in q.options(True) + q.options(False)] if cells else []
+        moves = [g for _, g in q._kept(True) + q._kept(False)] if cells else []
         return moves + [c for row in cells for c in row]
 
     def rebuild(q: Position, reduced: list) -> Position:

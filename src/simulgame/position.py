@@ -5,7 +5,7 @@ options when ``left`` is true and Right's otherwise, and a private pair
 rule ``_joint`` that resolves a (Left move, Right move) pair of their
 labels.  Legality is one rule for every position: a pair is legal exactly
 when each move is among its player's options.  ``move_matrix`` applies the
-pair rule to the labels of the option lists it has just built, so a ruleset
+pair rule to the labels of its option lists, kept or new, so a ruleset
 never checks a pair, and ``joint_option`` is a checked lookup into that
 matrix.  Terminality and the terminal outcome under the move-based winning
 convention derive from the option lists.  ``terminal_score`` is the one
@@ -13,9 +13,10 @@ public score: it checks that play has stopped, then calls the hook ``_score``.
 Positions are immutable and hashable; evaluation never mutates them.
 Every position is a frozen dataclass, copied and pickled by its fields.
 ``_interned`` makes every strip, sum and explicit game, one per type and
-fields, so their equality is identity; boards compare by their fields.  A
-sum reads its components through ``Position._kept``, which keeps the option
-lists and move matrix of those three types on them; nothing else keeps either.
+fields, so their equality is identity; boards compare by their fields.
+Readings, ``v_a``, ``reduce_game`` and sums read option lists, and sums read
+matrices, through ``Position._kept``, which keeps them on those three types;
+the engine's walk keeps nothing.
 """
 
 from __future__ import annotations
@@ -147,12 +148,12 @@ class Position:
         return self._reading
 
     def _read_mobility(self) -> Mobility:
-        """A plain position reads its own option lists; a composite overrides this."""
-        return _PLAIN[bool(self.options(True)), bool(self.options(False))]
+        """A plain position reads its lists through ``_kept``; a composite overrides this."""
+        return _PLAIN[bool(self._kept(True)), bool(self._kept(False))]
 
-    # Kept only by ``_kept``, through which a sum reads its components, so a
-    # position the walk merely expands keeps none of them.  Only the
-    # interned types keep them (``_keeps``): boards are mostly distinct, so
+    # Kept only by ``_kept``, through which every reader but the walk reads
+    # them, so a position the walk merely expands keeps none of them.  Only
+    # the interned types keep them (``_keeps``): boards are mostly distinct, so
     # their parts would rarely be read twice, yet would hold the board DAG
     # a walk explored for as long as the sum lives.
     _keeps = False
@@ -161,7 +162,7 @@ class Position:
     def _kept(self, part):
         """Left's or Right's options (``part`` true or false) or, under
         ``"matrix"``, the move matrix: built on first use and, if the type
-        ``_keeps``, kept on the instance."""
+        ``_keeps``, kept on the instance.  Only it and ``move_matrix`` build options."""
         name = _KEPT[part]
         if (kept := getattr(self, name)) is None:
             kept = self.move_matrix() if part == "matrix" else self.options(part)
@@ -179,9 +180,10 @@ class Position:
         return not (reading.left and reading.right)
 
     def move_matrix(self) -> MoveMatrix:
-        """Also records the mobility reading from the option lists it builds."""
-        lo = self.options(True)
-        ro = self.options(False)
+        """Reads kept option lists, or builds its own and keeps nothing, so the
+        walk pins no successor.  Also records the mobility reading from them."""
+        lo = self.options(True) if self._left_kept is None else self._left_kept
+        ro = self.options(False) if self._right_kept is None else self._right_kept
         if self._reading is None:
             object.__setattr__(self, "_reading", _PLAIN[bool(lo), bool(ro)])
         if not lo or not ro:
@@ -244,8 +246,8 @@ def v_a(p: Position) -> int:
     Positive when only Left can move, negative when only Right can; the
     magnitude is the longest chain of unilateral moves that never opens a
     move for the opponent.  Each position of the chain is expanded once per
-    call.  Raises NotTerminal while both players can move, and LoopyGame if
-    a position comes back along the chain.
+    call, through ``_kept``.  Raises NotTerminal while both players can
+    move, and LoopyGame if a position comes back along the chain.
     """
     require_position(p)
     reading = p._mobility()
@@ -254,7 +256,7 @@ def v_a(p: Position) -> int:
     left = reading.left
     opponent = "right" if left else "left"
     # Only the options that keep the opponent moveless extend the chain.
-    onward = lambda q: [c for _, c in q.options(left) if not getattr(c._mobility(), opponent)]
+    onward = lambda q: [c for _, c in q._kept(left) if not getattr(c._mobility(), opponent)]
     (chain,) = _postorder([p], onward, lambda q, chains: 1 + max(chains, default=-1), key=lambda q: q)
     return chain if left else -chain
 
@@ -351,25 +353,18 @@ class ExplicitGame(Position):
         return self.table[int(left_label[1:])][int(right_label[1:])]
 
     def _key_text(self) -> str:
-        """Spelled on ``_postorder`` from the subgames' keys, so a deep game
-        needs no recursion.  Each explicit subgame keeps the key spelled for
-        it, and one whose key is already built is not walked into."""
-        unkeyed = lambda g: isinstance(g, ExplicitGame) and g._key is None
-
-        def subgames(g):
-            return [*g.lefts, *g.rights, *(c for row in g.table for c in row)] if unkeyed(g) else ()
-
-        def spell(g, keys):
-            if not unkeyed(g):
-                return g.canonical_key()
-            lo, ro = len(g.lefts), len(g.rights)
-            ls, rs, cells = ",".join(keys[:lo]), ",".join(keys[lo:lo + ro]), keys[lo + ro:]
-            ts = ";".join(",".join(cells[i * ro:i * ro + ro]) for i in range(len(g.table)))
-            object.__setattr__(g, "_key", f"x(L[{ls}]|R[{rs}]|T[{ts}])")
-            return g._key
-
-        (text,) = _postorder([self], subgames, spell)
-        return text
+        """One level, like a sum's key: explicit subgames with no key yet
+        are keyed first, bottom up on ``_postorder``, so a deep game needs
+        no recursion."""
+        unkeyed = lambda g: [
+            c for c in (*g.lefts, *g.rights, *(c for row in g.table for c in row))
+            if isinstance(c, ExplicitGame) and c._key is None
+        ]
+        if todo := unkeyed(self):
+            _postorder(todo, unkeyed, lambda g, _: g.canonical_key())
+        keys = lambda games: ",".join(g.canonical_key() for g in games)
+        table = ";".join(map(keys, self.table))
+        return f"x(L[{keys(self.lefts)}]|R[{keys(self.rights)}]|T[{table}])"
 
 
 def outcome_literal(which: str) -> Position:

@@ -1,6 +1,8 @@
 """The library computes in exact rationals: no source file uses floating
 point.  Nor does any raise the recursion limit to get a deep game through,
-or make an interned position anywhere but in ``position._interned``."""
+or make an interned position anywhere but in ``position._interned``.  Only
+``Position._kept`` and ``Position.move_matrix`` build option lists, and only
+``Position.canonical_key`` writes a key."""
 
 import ast
 from pathlib import Path
@@ -38,24 +40,53 @@ def _recursion_limit_calls(tree: ast.AST) -> list[str]:
     ]
 
 
+def _outside(tree: ast.AST, module: str, owners: set[str], what: str, matches) -> list[str]:
+    """Nodes that ``matches`` outside the ``position`` functions and
+    methods named in ``owners`` (``function`` or ``Class.method``)."""
+    spared = set()
+    for top in tree.body if module == "position" else ():
+        prefix, defs = (f"{top.name}.", top.body) if isinstance(top, ast.ClassDef) else ("", [top])
+        for node in defs:
+            if isinstance(node, ast.FunctionDef) and prefix + node.name in owners:
+                spared.update(id(inner) for inner in ast.walk(node))
+    return [f"line {node.lineno}: {what}" for node in ast.walk(tree) if id(node) not in spared and matches(node)]
+
+
 def _object_new_calls(tree: ast.AST, module: str) -> list[str]:
     """Calls to ``object.__new__`` outside ``position._interned``, the one
     maker of strips, sums and explicit games."""
-    maker = [
-        node for node in ast.walk(tree)
-        if module == "position" and isinstance(node, ast.FunctionDef) and node.name == "_interned"
-    ]
-    inside = {id(node) for root in maker for node in ast.walk(root)}
-    return [
-        f"line {node.lineno}: call to object.__new__"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and id(node) not in inside
+    return _outside(tree, module, {"_interned"}, "call to object.__new__", lambda node: (
+        isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "__new__"
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "object"
-    ]
+    ))
+
+
+def _options_calls(tree: ast.AST, module: str) -> list[str]:
+    """Calls to ``.options(`` outside ``Position._kept``, which keeps what it
+    builds, and ``Position.move_matrix``, which builds what is not kept."""
+    return _outside(tree, module, {"Position._kept", "Position.move_matrix"}, "call to options", lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "options"
+    ))
+
+
+def _key_writes(tree: ast.AST, module: str) -> list[str]:
+    """Writes of ``_key`` (an attribute store, or ``setattr`` or
+    ``object.__setattr__`` of the name) outside ``Position.canonical_key``."""
+    def writes(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "_key" and isinstance(node.ctx, ast.Store)
+        return (
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "__setattr__" or getattr(node.func, "id", None) == "setattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "_key"
+        )
+
+    return _outside(tree, module, {"Position.canonical_key"}, "write of _key", writes)
 
 
 def test_sources_found():
@@ -91,3 +122,41 @@ def test_object_new_guard_spares_only_interned():
     text = "def _interned(cls):\n    return object.__new__(cls)\n\n\ndef make(cls):\n    return object.__new__(cls)\n"
     assert _object_new_calls(ast.parse(text), "position") == ["line 6: call to object.__new__"]
     assert len(_object_new_calls(ast.parse(text), "sums")) == 2
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_kept_and_move_matrix_build_options(path):
+    assert _options_calls(ast.parse(path.read_text(), str(path)), path.stem) == []
+
+
+def test_options_guard_spares_only_kept_and_move_matrix():
+    text = (
+        "class Position:\n"
+        "    def _kept(self):\n        return self.options(True)\n\n"
+        "    def move_matrix(self):\n        return self.options(False)\n\n"
+        "    def _read_mobility(self):\n        return self.options(True)\n\n\n"
+        "def v_a(p):\n    return p.options(True)\n"
+    )
+    assert set(_options_calls(ast.parse(text), "position")) == {"line 9: call to options", "line 13: call to options"}
+    assert len(_options_calls(ast.parse(text), "sums")) == 4
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_canonical_key_writes_keys(path):
+    assert _key_writes(ast.parse(path.read_text(), str(path)), path.stem) == []
+
+
+def test_key_guard_catches_each_spelling():
+    text = (
+        "class Position:\n"
+        "    _key = None\n\n"
+        "    def canonical_key(self):\n        object.__setattr__(self, '_key', 'k')\n\n\n"
+        "def spell(g):\n"
+        "    object.__setattr__(g, '_key', 'k')\n"
+        "    setattr(g, '_key', 'k')\n"
+        "    g._key = 'k'\n"
+        "    object.__setattr__(g, '_reading', None)\n"
+    )
+    found = {"line 9: write of _key", "line 10: write of _key", "line 11: write of _key"}
+    assert set(_key_writes(ast.parse(text), "position")) == found
+    assert len(_key_writes(ast.parse(text), "sums")) == 4

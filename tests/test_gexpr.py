@@ -1,7 +1,10 @@
 """Grammar: parsing into positions, rendering positions, and error reporting."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from simulgame.gexpr import MAX_NESTING, parse, render_position
 from simulgame.position import ExplicitGame, ScoreLiteral, score
 from simulgame.rulesets import ClobberPosition, HackenbushPosition, SqPosition, sq
 from simulgame.sums import SumPosition, disjunctive
+from simulgame.verify import ACCEPTANCE_POSITIONS
 
 MEMO = Memo()
 
@@ -185,6 +189,58 @@ def test_render_position_parse_roundtrip_random_literals():
     for _ in range(500):
         p = parse(_random_text(rng, 2))
         assert parse(render_position(p)) == p
+
+
+KEY_PINS_PATH = Path(__file__).parent / "data" / "key_pins.json"
+# Reduced games whose keys spell shared subgames once per path to them.
+REDUCED_KEY_TEXTS = [("sq{1}{1}(6)", NORMAL), ("sq'{1,4}{2}(4)", NORMAL), ("cl:K4", SCORING)]
+
+
+def _key_pin(p):
+    """The key itself when short, else its length and SHA-256."""
+    key = p.canonical_key()
+    return key if len(key) <= 100 else f"{len(key)} sha256:{hashlib.sha256(key.encode()).hexdigest()}"
+
+
+def _explicit_subgames(p):
+    """The explicit games in ``p``'s sums and explicit games, ``p`` included,
+    each once, in the order first met."""
+    seen, stack, found = set(), [p], []
+    while stack:
+        q = stack.pop()
+        if id(q) in seen:
+            continue
+        seen.add(id(q))
+        if isinstance(q, ExplicitGame):
+            found.append(q)
+            stack.extend(reversed([*q.lefts, *q.rights, *(c for row in q.table for c in row)]))
+        elif isinstance(q, SumPosition):
+            stack.extend(reversed(q.components))
+    return found
+
+
+def _key_pins():
+    rng = random.Random(7)
+    acceptance = []
+    for text, _ in ACCEPTANCE_POSITIONS:
+        p = parse(text)
+        acceptance.append([text, _key_pin(p), [_key_pin(g) for g in _explicit_subgames(p)]])
+    return {
+        "acceptance": acceptance,
+        "reduced": [[text, c, _key_pin(reduce_game(parse(text), c))] for text, c in REDUCED_KEY_TEXTS],
+        "random": [[text, _key_pin(parse(text))] for text in (_random_text(rng, 3) for _ in range(300))],
+    }
+
+
+def test_keys_reproduce_pins():
+    # Sums order their components by key, so a changed spelling would also
+    # move root labels.
+    pins, got = json.loads(KEY_PINS_PATH.read_text()), _key_pins()
+    for part in ("acceptance", "reduced", "random"):
+        assert len(got[part]) == len(pins[part])
+        for expected, actual in zip(pins[part], got[part]):
+            assert actual == expected
+    assert pins["reduced"][0][2].startswith("18218 ")
 
 
 def test_render_and_length_of_a_deep_chain():

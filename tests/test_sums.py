@@ -263,9 +263,9 @@ def test_move_count_score_requires_one_sided_position():
 
 def test_move_count_score_builds_each_strip_once(monkeypatch):
     # Every strip of the chain is reached by two moves (from either end);
-    # each length is expanded once, not once per path: Left's options are
-    # built for its mobility reading and for the chain, Right's for the
-    # reading alone.
+    # each length is expanded once, not once per path, and each of its
+    # option lists is built once: the mobility reading keeps both, and the
+    # chain reads Left's kept list.
     n = 14
     builds = Counter()
     original = SqPosition.options
@@ -276,9 +276,27 @@ def test_move_count_score_builds_each_strip_once(monkeypatch):
 
     monkeypatch.setattr(SqPosition, "options", counting)
     assert v_a(sq({1}, {100}, n)) == n
-    assert {length for length, _ in builds} == set(range(n + 1))
-    assert max(builds[length, True] for length in range(n + 1)) <= 2
-    assert max(builds[length, False] for length in range(n + 1)) <= 1
+    assert builds == {(length, left): 1 for length in range(n + 1) for left in (True, False)}
+
+
+@pytest.mark.parametrize("kind, n", [(disjunctive, 9), (conjunctive, 10), (continued_conjunctive, 11)])
+def test_sum_reads_build_each_component_list_once(monkeypatch, kind, n):
+    # The sum's reading, strategies and component matrices, then Left's
+    # options, all read the lists the components' readings kept.
+    builds = Counter()
+    original = SqPosition.options
+
+    def counting(self, left):
+        builds[self, left] += 1
+        return original(self, left)
+
+    monkeypatch.setattr(SqPosition, "options", counting)
+    # Strips no other test holds, so they have no parts kept yet.
+    a, b = sq({2, 3}, {1, 4}, n), sq({1, 4}, {2, 3}, n - 2)
+    total = kind(a, b)
+    assert not total.move_matrix().is_empty
+    assert total.options(True)
+    assert builds == {(strip, left): 1 for strip in (a, b) for left in (True, False)}
 
 
 # -- kind rules --------------------------------------------------------------------
