@@ -14,9 +14,11 @@ Positions are immutable and hashable; evaluation never mutates them.
 Every position is a frozen dataclass, copied and pickled by its fields.
 ``_interned`` makes every strip, sum and explicit game, one per type and
 fields, so their equality is identity; boards compare by their fields.
-Readings, ``v_a``, ``reduce_game`` and sums read option lists, and sums read
-matrices, through ``Position._kept``, which keeps them on those three types;
-the engine's walk keeps nothing.
+``Position._kept`` builds and keeps a position's parts: the key and mobility
+reading on every position, option lists and matrix on those three types
+only; all but the engine's walk, which keeps nothing, read parts through it.
+``Position._prime``, the one bottom-up primer, first builds a part on the
+nested composites that lack it, so no part of a deep game needs recursion.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ class Mobility(NamedTuple):
     right_ok: bool
 
 
-# The attribute that keeps each part ``Position._kept`` reads.
-_KEPT = {True: "_left_kept", False: "_right_kept", "matrix": "_matrix_kept"}
+# The attribute that keeps each part ``Position._kept`` builds: the key, the
+# mobility reading, Left's and Right's options and the move matrix.
+_KEPT = {"key": "_key", "reading": "_reading", True: "_left_kept", False: "_right_kept", "matrix": "_matrix_kept"}
 
 # The four readings of a plain position, shared by every instance.
 _PLAIN = {(lm, rm): Mobility(lm, rm, lm, rm) for lm in (False, True) for rm in (False, True)}
@@ -130,49 +133,53 @@ class Position:
         explicit game is the live one, any other position an equal one."""
         return type(self), tuple(getattr(self, f) for f in self.__dataclass_fields__)
 
-    _key = None
-
     def canonical_key(self) -> str:
         """The subclass key text, built on first use and kept on the instance."""
-        if self._key is None:
-            # object.__setattr__ because the rulesets are frozen dataclasses.
-            object.__setattr__(self, "_key", self._key_text())
-        return self._key
-
-    _reading = None
+        return self._key or self._kept("key")
 
     def _mobility(self) -> Mobility:
         """The mobility reading, read on first use and kept on the instance."""
-        if self._reading is None:
-            object.__setattr__(self, "_reading", self._read_mobility())
-        return self._reading
+        return self._reading or self._kept("reading")
 
     def _read_mobility(self) -> Mobility:
         """A plain position reads its lists through ``_kept``; a composite overrides this."""
         return _PLAIN[bool(self._kept(True)), bool(self._kept(False))]
 
-    # Kept only by ``_kept``, through which every reader but the walk reads
-    # them, so a position the walk merely expands keeps none of them.  Only
-    # the interned types keep them (``_keeps``): boards are mostly distinct, so
-    # their parts would rarely be read twice, yet would hold the board DAG
-    # a walk explored for as long as the sum lives.
+    # Written only by ``_kept`` (and ``_reading`` by ``move_matrix``).  Every
+    # reader but the walk reads the lists and the matrix through ``_kept``, so
+    # a position the walk merely expands keeps none of them.  Only the
+    # interned types keep them (``_keeps``): boards are mostly distinct, so
+    # their parts would rarely be read twice, yet would hold the board DAG a
+    # walk explored for as long as the sum lives.
     _keeps = False
-    _left_kept = _right_kept = _matrix_kept = None
+    _key = _reading = _left_kept = _right_kept = _matrix_kept = None
 
     def _kept(self, part):
-        """Left's or Right's options (``part`` true or false) or, under
-        ``"matrix"``, the move matrix: built on first use and, if the type
-        ``_keeps``, kept on the instance.  Only it and ``move_matrix`` build options."""
+        """The part ``_KEPT`` names: the key, the reading, Left's or Right's
+        options (``part`` true or false) or the move matrix, built on first
+        use and kept on the instance; the lists and the matrix only if the
+        type ``_keeps``.  Only it and ``move_matrix`` build options."""
         name = _KEPT[part]
         if (kept := getattr(self, name)) is None:
-            kept = self.move_matrix() if part == "matrix" else self.options(part)
-            if self._keeps:
+            if part == "key":
+                kept = self._key_text()
+            elif part == "reading":
+                kept = self._read_mobility()
+            elif part == "matrix":
+                kept = self.move_matrix()
+            else:
+                kept = self.options(part)
+            if self._keeps or part in ("key", "reading"):
+                # object.__setattr__ because positions are frozen dataclasses.
                 object.__setattr__(self, name, kept)
         return kept
 
-    def _has_kept(self, part) -> bool:
-        """Whether ``_kept`` has kept ``part`` on this instance."""
-        return getattr(self, _KEPT[part]) is not None
+    def _prime(self, part) -> None:
+        """Build ``part`` on the nested composites that lack it, named by the
+        type's ``_inner(part)``, bottom up on ``_postorder``: each level then
+        builds its own part from kept ones, so no call recurses once per level."""
+        if todo := self._inner(part):
+            _postorder(todo, lambda p: p._inner(part), lambda p, _: p._kept(part))
 
     def is_terminal(self) -> bool:
         """Simultaneous option set empty: either player is out of moves."""
@@ -352,16 +359,15 @@ class ExplicitGame(Position):
     def _joint(self, left_label, right_label):
         return self.table[int(left_label[1:])][int(right_label[1:])]
 
+    def _inner(self, part):
+        """The explicit subgames that lack ``part``, for ``_prime``."""
+        games = (*self.lefts, *self.rights, *(g for row in self.table for g in row))
+        return [g for g in games if isinstance(g, ExplicitGame) and getattr(g, _KEPT[part]) is None]
+
     def _key_text(self) -> str:
-        """One level, like a sum's key: explicit subgames with no key yet
-        are keyed first, bottom up on ``_postorder``, so a deep game needs
-        no recursion."""
-        unkeyed = lambda g: [
-            c for c in (*g.lefts, *g.rights, *(c for row in g.table for c in row))
-            if isinstance(c, ExplicitGame) and c._key is None
-        ]
-        if todo := unkeyed(self):
-            _postorder(todo, unkeyed, lambda g, _: g.canonical_key())
+        """One level, like a sum's key, once ``_prime`` has keyed the explicit
+        subgames, so a deep game needs no recursion."""
+        self._prime("key")
         keys = lambda games: ",".join(g.canonical_key() for g in games)
         table = ";".join(map(keys, self.table))
         return f"x(L[{keys(self.lefts)}]|R[{keys(self.rights)}]|T[{table}])"

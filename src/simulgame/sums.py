@@ -5,10 +5,11 @@ different rulesets.  The three kinds differ only in their termination
 rules: ``SumPosition._read_mobility`` states when play stops and who wins,
 ``_strategies`` the components a player moves in and ``_score`` those whose
 scores count.  Equal sums are one object, like equal strips and explicit
-games, so a sum compares by identity.  Nested sums are read, scored and
-given their options and move matrices bottom up, on ``position._postorder``,
-so no operation on a sum recurses once per level.  A
-player's pure strategy is one move in each component that player moves in,
+games, so a sum compares by identity.  A sum's parts are built and kept by
+``Position._kept``, and ``Position._prime`` first builds them on the nested
+sums that lack them, bottom up; a sum's score is added bottom up on
+``position._postorder``.  So no operation on a sum recurses once per level.
+A player's pure strategy is one move in each component that player moves in,
 enumerated over each component's own ``options(left)``, or, in a ``^`` or
 ``v`` move matrix, where both players move in every live component, over
 the rows and columns of that component's own matrix.  One successor rule,
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameters
-from .position import EMPTY_MATRIX, Mobility, MoveMatrix, Position, _interned, _postorder
+from .position import EMPTY_MATRIX, _KEPT, Mobility, MoveMatrix, Position, _interned, _postorder
 
 DISJUNCTIVE = "+"
 CONJUNCTIVE = "^"
@@ -101,11 +102,9 @@ class SumPosition(Position):
           component wins.
 
         A finished ``^`` or ``v`` sum offers no move to either player.  Nested
-        sums with no reading yet are read first, bottom up on ``_postorder``.
+        sums with no reading yet are read first, by ``_prime``.
         """
-        unread = lambda p: [c for c in p.components if isinstance(c, SumPosition) and c._reading is None]
-        if todo := unread(self):
-            _postorder(todo, unread, lambda p, _: p._mobility())
+        self._prime("reading")
         readings = [c._mobility() for c in self.components]
         if self.kind == DISJUNCTIVE:
             left = any(m.left for m in readings)
@@ -154,19 +153,12 @@ class SumPosition(Position):
             comps[j] = grids[i][lk][rk] if i == j else succ
         return build(comps) if build else SumPosition(self.kind, comps)
 
-    def _fill(self, part) -> None:
-        """Keep ``part`` (as ``Position._kept`` names it) on every sum nested
-        in this one that lacks it, bottom up on ``_postorder``.  A nested
-        level then reads kept parts alone, or walks its own levels for a part
-        it lacks, so no call recurses once per level."""
-        lacking = lambda p: [
-            c for c in p.components if isinstance(c, SumPosition) and not c._has_kept(part)
-        ]
-        if todo := lacking(self):
-            _postorder(todo, lacking, lambda p, _: p._kept(part))
+    def _inner(self, part):
+        """The nested sums that lack ``part``, for ``_prime``."""
+        return [c for c in self.components if isinstance(c, SumPosition) and getattr(c, _KEPT[part]) is None]
 
     def options(self, left):
-        self._fill(left)
+        self._prime(left)
         return tuple((_label(s), self._successor(s)) for s in self._strategies(left))
 
     def move_matrix(self) -> MoveMatrix:
@@ -177,7 +169,7 @@ class SumPosition(Position):
         by the component matrices in ``own`` or by the strategies."""
         if self.is_terminal():
             return EMPTY_MATRIX
-        self._fill("matrix")
+        self._prime("matrix")
         made = {}
 
         def build(comps):

@@ -2,15 +2,21 @@
 point.  Nor does any raise the recursion limit to get a deep game through,
 or make an interned position anywhere but in ``position._interned``.  Only
 ``Position._kept`` and ``Position.move_matrix`` build option lists, and only
-``Position.canonical_key`` writes a key."""
+``Position._kept`` writes a kept part (``position._KEPT``), but for the
+mobility reading, which ``Position.move_matrix`` also records."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+from simulgame.position import _KEPT
+
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "simulgame").glob("*.py"))
 MATH_ALLOWED = {"gcd", "lcm"}
+# The attributes of ``position._KEPT``, spelled here too so that the guard
+# does not shrink with the table.
+KEPT_NAMES = ("_key", "_reading", "_left_kept", "_right_kept", "_matrix_kept")
 
 
 def _float_uses(tree: ast.AST) -> list[str]:
@@ -72,21 +78,28 @@ def _options_calls(tree: ast.AST, module: str) -> list[str]:
     ))
 
 
-def _key_writes(tree: ast.AST, module: str) -> list[str]:
-    """Writes of ``_key`` (an attribute store, or ``setattr`` or
-    ``object.__setattr__`` of the name) outside ``Position.canonical_key``."""
-    def writes(node):
-        if isinstance(node, ast.Attribute):
-            return node.attr == "_key" and isinstance(node.ctx, ast.Store)
-        return (
-            isinstance(node, ast.Call)
-            and (getattr(node.func, "attr", None) == "__setattr__" or getattr(node.func, "id", None) == "setattr")
-            and len(node.args) > 1
-            and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value == "_key"
-        )
+def _kept_writes(tree: ast.AST, module: str) -> list[str]:
+    """Writes of an attribute of ``position._KEPT`` (an attribute store, or
+    ``setattr`` or ``object.__setattr__`` of the name) outside
+    ``Position._kept``, or, for ``_reading``, ``Position.move_matrix``."""
+    def writes(name):
+        def match(node):
+            if isinstance(node, ast.Attribute):
+                return node.attr == name and isinstance(node.ctx, ast.Store)
+            return (
+                isinstance(node, ast.Call)
+                and (getattr(node.func, "attr", None) == "__setattr__" or getattr(node.func, "id", None) == "setattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == name
+            )
+        return match
 
-    return _outside(tree, module, {"Position.canonical_key"}, "write of _key", writes)
+    found = []
+    for name in KEPT_NAMES:
+        owners = {"Position._kept", "Position.move_matrix"} if name == "_reading" else {"Position._kept"}
+        found += _outside(tree, module, owners, f"write of {name}", writes(name))
+    return found
 
 
 def test_sources_found():
@@ -141,22 +154,30 @@ def test_options_guard_spares_only_kept_and_move_matrix():
     assert len(_options_calls(ast.parse(text), "sums")) == 4
 
 
+# The names predate the guard's widening from ``_key`` to every kept part.
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_canonical_key_writes_keys(path):
-    assert _key_writes(ast.parse(path.read_text(), str(path)), path.stem) == []
+    assert _kept_writes(ast.parse(path.read_text(), str(path)), path.stem) == []
 
 
 def test_key_guard_catches_each_spelling():
     text = (
         "class Position:\n"
         "    _key = None\n\n"
+        "    def _kept(self, name):\n        object.__setattr__(self, '_key', 'k')\n\n"
+        "    def move_matrix(self):\n"
+        "        object.__setattr__(self, '_reading', 'r')\n        object.__setattr__(self, '_key', 'k')\n\n"
         "    def canonical_key(self):\n        object.__setattr__(self, '_key', 'k')\n\n\n"
         "def spell(g):\n"
-        "    object.__setattr__(g, '_key', 'k')\n"
-        "    setattr(g, '_key', 'k')\n"
-        "    g._key = 'k'\n"
-        "    object.__setattr__(g, '_reading', None)\n"
+        "    object.__setattr__(g, '_matrix_kept', 'm')\n"
+        "    setattr(g, '_left_kept', ())\n"
+        "    g._reading = 'r'\n"
+        "    object.__setattr__(g, '_parts', None)\n"
     )
-    found = {"line 9: write of _key", "line 10: write of _key", "line 11: write of _key"}
-    assert set(_key_writes(ast.parse(text), "position")) == found
-    assert len(_key_writes(ast.parse(text), "sums")) == 4
+    found = {
+        "line 9: write of _key", "line 12: write of _key", "line 16: write of _matrix_kept",
+        "line 17: write of _left_kept", "line 18: write of _reading",
+    }
+    assert set(_kept_writes(ast.parse(text), "position")) == found
+    assert len(_kept_writes(ast.parse(text), "sums")) == 7
+    assert sorted(_KEPT.values()) == sorted(KEPT_NAMES)

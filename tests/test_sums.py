@@ -19,7 +19,7 @@ from simulgame import position, sums
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile, outcome
 from simulgame.errors import BadParameters, NotTerminal
 from simulgame.gexpr import parse
-from simulgame.position import ExplicitGame, Position, outcome_literal, score, v_a
+from simulgame.position import ExplicitGame, Mobility, Position, outcome_literal, score, v_a
 from simulgame.rulesets import HackenbushPosition, SqPosition, clobber_strip, hb_stalk, sq
 from simulgame.sums import SumPosition, conjunctive, continued_conjunctive, disjunctive
 from simulgame.verify import additivity_sample
@@ -663,6 +663,33 @@ def test_live_nested_sum_evaluates():
     assert len(options) == 2 and all(successor == live(300, 2) for _, successor in options)
 
 
+@pytest.mark.parametrize("part", [True, False, "reading", "matrix", "key"], ids=str)
+def test_first_reads_of_deep_composites_need_no_recursion(part):
+    # Each case reads one part first at the top of a fresh game, over a strip
+    # no other case or test holds, so ``_prime`` must build it bottom up on
+    # every level below.
+    n = {True: 5, False: 6, "reading": 7, "matrix": 8, "key": None}[part]
+    live = lambda m: _alternating(1000, sq({1}, {3}, m), (continued_conjunctive, disjunctive))
+    if part == "key":
+        game = score(0)
+        for _ in range(3000):
+            game = ExplicitGame((game,), (score(0),), ((score(0),),))
+    else:
+        game = live(n)
+    assert getattr(game, position._KEPT[part]) is None
+    got = game._kept(part)
+    if part == "key":
+        assert len(got) == 66004
+    elif part == "reading":
+        assert got == Mobility(True, True, True, True)
+    elif part == "matrix":
+        # Both players move in the strip at the bottom, from either end.
+        cells = sq({1}, {3}, n).move_matrix().cells
+        assert got.cells == tuple(tuple(live(q.n) for q in row) for row in cells)
+    else:
+        assert [q for _, q in got] == [live(n - 1 if part else n - 3)] * 2
+
+
 def test_rearranged_sum_shares_key_and_value_not_equality():
     # Mirror strips share a key, and the stable sort keeps them in input order.
     first, second = parse("cl[XO] + cl[OX]"), parse("cl[OX] + cl[XO]")
@@ -726,13 +753,14 @@ def test_an_evaluated_root_pins_nothing_once_dropped():
 def test_boards_keep_no_parts():
     # A sum reads a board's options and matrix afresh each time: boards are
     # mostly distinct, so keeping their parts would save little and hold
-    # the board DAG a walk explored.
+    # the board DAG a walk explored.  Every position keeps its key and reading.
     total = parse("sq{2}{5}(5) + hb[BRB]")
     evaluate(total, memo=Memo())
     strip, board = sorted(total.components, key=lambda c: not isinstance(c, SqPosition))
     assert isinstance(board, HackenbushPosition)
-    assert all(strip._has_kept(part) for part in (True, False, "matrix"))
-    assert not any(board._has_kept(part) for part in (True, False, "matrix"))
+    kept = lambda p: {part for part, name in position._KEPT.items() if getattr(p, name) is not None}
+    assert kept(strip) == {"key", "reading", True, False, "matrix"}
+    assert kept(board) == {"key", "reading"}
 
 
 def test_threads_building_equal_positions_get_one_object():
