@@ -101,10 +101,12 @@ class Memo:
         return len(self._table)
 
 
-def _check(p: Position, convention: str) -> None:
+def _check(p: Position, convention: str, transform=None) -> None:
     require_position(p)
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
+    if transform not in (None, ELL, ARR):
+        raise ValueError(f"unknown transform {transform!r}")
 
 
 def _terminal_payoff(p: Position, convention: str, transforms) -> tuple[Fraction, ...]:
@@ -138,7 +140,7 @@ def evaluate(
     of its cells.  Without a memo the call uses a fresh one.  Raises
     LoopyGame if a position repeats along a descent path.
     """
-    _check(p, convention)
+    _check(p, convention, transform)
     table = memo if memo is not None else Memo()
     transforms = (transform,)
     matrix = p.move_matrix()

@@ -25,6 +25,7 @@ from typing import Sequence
 from .errors import BadParameters, DimensionMismatch, SimulgameError, SizeLimit
 
 Matrix = list[list[Fraction]]
+SUPPORT_MAX_SIDE = 5  # most rows and columns support enumeration takes
 
 
 @dataclass(frozen=True)
@@ -202,12 +203,12 @@ def support_enumeration_value(rows: Sequence[Sequence]) -> Fraction:
 
     Independent of the simplex path: solves the equalization system of every
     square support pair and verifies the equilibrium inequalities exactly,
-    on the matrix's integer image.  Limited to 5x5 by design.
+    on the matrix's integer image.  At most ``SUPPORT_MAX_SIDE`` rows and columns.
     """
     a, scale = _integer_image(rows)
     m, n = len(a), len(a[0])
-    if m > 5 or n > 5:
-        raise SizeLimit("support enumeration is limited to 5x5 matrices")
+    if max(m, n) > SUPPORT_MAX_SIDE:
+        raise SizeLimit(f"support enumeration takes at most {SUPPORT_MAX_SIDE} rows and columns")
     # The column player's side is the row player's on the negated transpose.
     flipped = [[-x for x in col] for col in zip(*a)]
     for k in range(1, min(m, n) + 1):

@@ -5,12 +5,14 @@ Every concrete-value check states the position in the expression grammar
 corpus).  ``run_suite`` executes checks in manifest order and returns one
 record per check; the CLI turns these into JSON and an exit code.
 
-Two checks are flagged ``known_discrepancy``: the published figures for
-the conjunctive 5-and-6 strips (-1/4) and for the mixed disjunctive sum
-under scoring (-1/2) do not survive exact recomputation (the engine, the
-enumeration oracle, and fictitious play all agree on -3/8 and -3/4).
-They stay in the manifest with their published expectations and report
-as failures rather than being rewritten.
+A check's ``run`` returns its value (a bool, Fraction, int, list or
+message string); ``run_suite`` alone formats each expected and actual value
+for its record.  ``KNOWN_DISCREPANCIES`` is the set of contested figures:
+the published values for the conjunctive 5-and-6 strips (-1/4) and for the
+mixed disjunctive sum under scoring (-1/2) do not survive exact
+recomputation (the engine, the enumeration oracle, and fictitious play all
+agree on -3/8 and -3/4).  They stay in the manifest with their published
+expectations and report as failures rather than being rewritten.
 """
 
 from __future__ import annotations
@@ -29,14 +31,19 @@ from .sums import continued_conjunctive
 
 F = Fraction
 
+KNOWN_DISCREPANCIES = frozenset({"sqp-wedge-5-6", "table5-scoring-plus"})
+
 
 @dataclass
 class Check:
     id: str
     suite: str
-    expected: str
+    expected: object
     run: callable
-    known_discrepancy: bool = False
+
+    @property
+    def known_discrepancy(self) -> bool:
+        return self.id in KNOWN_DISCREPANCIES
 
 
 def _fmt(value) -> str:
@@ -124,9 +131,7 @@ def additivity_sample() -> list:
     primed = [sq({1}, {2}, n, primed=True) for n in range(9)]
     stalks = [hb_stalk(s) for s in _all_stalks(3)]  # 14 stalks
     extra = [hb_stalk(s) for s in ("BRBR", "BRRB", "BBRB", "RBRB", "RBBR", "RRBR", "BRBB", "RBRR")]
-    sample = basic + primed + stalks + extra
-    assert len(sample) == 40
-    return sample
+    return basic + primed + stalks + extra
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +142,14 @@ def additivity_sample() -> list:
 def build_checks(memo: Memo) -> list[Check]:
     checks: list[Check] = []
 
-    def add(id, expected, fn, suite="paper", known_discrepancy=False):
-        checks.append(Check(id, suite, _fmt(expected), fn, known_discrepancy))
+    def add(id, expected, fn, suite="paper"):
+        checks.append(Check(id, suite, expected, fn))
 
     def ex_of(text, convention=NORMAL):
         return evaluate(parse(text), convention, memo=memo).ex
 
-    def value_check(id, text, expected, convention=NORMAL, known_discrepancy=False):
-        add(
-            id,
-            expected,
-            lambda: _fmt(ex_of(text, convention)),
-            known_discrepancy=known_discrepancy,
-        )
+    def value_check(id, text, expected, convention=NORMAL):
+        add(id, expected, lambda: ex_of(text, convention))
 
     # Strip values and the disjunctive example.
     value_check("sq12-ex0", "sq{1}{2}(0)", F(0))
@@ -159,20 +159,13 @@ def build_checks(memo: Memo) -> list[Check]:
     add(
         "disj-2plus2-not-additive",
         True,
-        lambda: _fmt(
-            ex_of("sq{1}{2}(2) + sq{1}{2}(2)") != 2 * ex_of("sq{1}{2}(2)")
-        ),
+        lambda: ex_of("sq{1}{2}(2) + sq{1}{2}(2)") != 2 * ex_of("sq{1}{2}(2)"),
     )
 
     # Primed strips and conjunctive values.
     value_check("sqp-ex5", "sq'{1}{2}(5)", F(-1, 4))
     value_check("sqp-ex6", "sq'{1}{2}(6)", F(1, 4))
-    value_check(
-        "sqp-wedge-5-6",
-        "sq'{1}{2}(5) ^ sq'{1}{2}(6)",
-        F(-1, 4),
-        known_discrepancy=True,
-    )
+    value_check("sqp-wedge-5-6", "sq'{1}{2}(5) ^ sq'{1}{2}(6)", F(-1, 4))
     value_check("sqp-wedge-3-3", "sq'{1}{2}(3) ^ sq'{1}{2}(3)", F(1, 4))
     value_check("sqp-wedge-3-4", "sq'{1}{2}(3) ^ sq'{1}{2}(4)", F(1, 4))
 
@@ -181,7 +174,7 @@ def build_checks(memo: Memo) -> list[Check]:
 
     def cell_values(text, convention=NORMAL):
         report = evaluate(parse(text), convention, memo=memo)
-        return _fmt([[str(v) for v in row] for row in report.values])
+        return [[str(v) for v in row] for row in report.values]
 
     add(
         "sq14-option-values",
@@ -202,7 +195,7 @@ def build_checks(memo: Memo) -> list[Check]:
             in4 = parts[str(idx4)] in amounts
             equalizer = parts[str(idx3)] in ("1l", "1r")
             mix.append(F(1, 4) if in4 and equalizer else F(0))
-        return _fmt(matgame.response_value(report.values, mix))
+        return matgame.response_value(report.values, mix)
 
     add("sq14-response-take4", F(0), lambda: response_demo(("4l", "4r")))
     add("sq14-response-take1", F(1, 4), lambda: response_demo(("1l", "1r")))
@@ -219,7 +212,7 @@ def build_checks(memo: Memo) -> list[Check]:
 
     # Complete-graph clobber.
     for n in range(2, 8):
-        value_check(f"kn-clobber-{n}", f"cl:K{n}", F(n, 2) - 1, SCORING)
+        value_check(f"kn-clobber-{n}", f"cl:K{n}", analysis.clobber_kn_expected(n), SCORING)
 
     # Small strips and the paired-strip sum.
     value_check("clobber-ox", "cl[OX]", F(0), SCORING)
@@ -228,7 +221,7 @@ def build_checks(memo: Memo) -> list[Check]:
     add(
         "clobber-paired-sum-by-parts",
         F(1),
-        lambda: _fmt(ex_of("cl[OOX]", SCORING) + ex_of("cl[XOO]", SCORING) + 1),
+        lambda: ex_of("cl[OOX]", SCORING) + ex_of("cl[XOO]", SCORING) + 1,
     )
 
     def truncation():
@@ -237,16 +230,16 @@ def build_checks(memo: Memo) -> list[Check]:
         ]
         monotone = all(a <= b for a, b in zip(values, values[1:]))
         near = abs(values[-1] - F(809017, 1000000)) < F(5, 100)
-        return _fmt(monotone and near)
+        return monotone and near
 
     add("clobber-truncation-limit", True, truncation)
 
     # Hackenbush.
-    add("hb-two-blue-va", 2, lambda: _fmt(v_a(parse("hb[BB]"))))
+    add("hb-two-blue-va", 2, lambda: v_a(parse("hb[BB]")))
 
     def cell_outcomes(text):
         cells = parse(text).move_matrix().cells
-        return _fmt([[outcome(cell, NORMAL, memo=memo) for cell in row] for row in cells])
+        return [[outcome(cell, NORMAL, memo=memo) for cell in row] for row in cells]
 
     add("fig5G-outcomes", [["D", "L"], ["L", "D"]], lambda: cell_outcomes("hb:fig5G"))
     add("fig5G-ex", [["0", "1"], ["1", "0"]], lambda: cell_values("hb:fig5G"))
@@ -265,7 +258,7 @@ def build_checks(memo: Memo) -> list[Check]:
             got = evaluate(hb_stalk(colors), SCORING, memo=memo).ex
             if got != want:
                 bad.append(colors)
-        return _fmt(bad == [])
+        return bad == []
 
     add("hb-stalk-theorem-upto-7", True, stalk_theorem)
 
@@ -282,29 +275,19 @@ def build_checks(memo: Memo) -> list[Check]:
                     got = evaluate(hb_cordon(n, leaves), SCORING, memo=memo).ex
                     if got != n + a - b:
                         bad.append((n, a, b))
-        return _fmt(bad == [])
+        return bad == []
 
     add("hb-cordon-scores", True, cordon_scores)
 
     def two_blue_ell():
         stalks = ["BB"] + ["BB" + s for s in _all_stalks(4)]
-        return _fmt(
-            all(
-                guarantee_profile(hb_stalk(s), NORMAL, memo=memo).ell == 1
-                for s in stalks
-            )
-        )
+        return all(guarantee_profile(hb_stalk(s), NORMAL, memo=memo).ell == 1 for s in stalks)
 
     add("hb-two-blue-forces-win", True, two_blue_ell)
 
     def alternating_ell_zero():
         stalks = ["BR", "BRBR", "BRBRBR"]
-        return _fmt(
-            all(
-                guarantee_profile(hb_stalk(s), NORMAL, memo=memo).ell == 0
-                for s in stalks
-            )
-        )
+        return all(guarantee_profile(hb_stalk(s), NORMAL, memo=memo).ell == 0 for s in stalks)
 
     add("hb-alternating-cannot-win", True, alternating_ell_zero)
 
@@ -324,26 +307,20 @@ def build_checks(memo: Memo) -> list[Check]:
             out,
             lambda text=text: outcome(parse(text), NORMAL, memo=memo),
         )
-    value_check(
-        "table5-scoring-plus",
-        MIXED_TABLE.format("+", "+"),
-        F(-1, 2),
-        SCORING,
-        known_discrepancy=True,
-    )
+    value_check("table5-scoring-plus", MIXED_TABLE.format("+", "+"), F(-1, 2), SCORING)
     value_check("table5-scoring-conj", MIXED_TABLE.format("^", "^"), F(-1), SCORING)
     value_check("table5-scoring-cont", MIXED_TABLE.format("v", "v"), F(-1, 2), SCORING)
 
     # Closed form and limit.
     def closed_form_matches():
         seq = analysis.sq_expected_sequence(1, 2, 25)
-        return _fmt(all(analysis.sq12_closed_form(n) == seq[n] for n in range(26)))
+        return all(analysis.sq12_closed_form(n) == seq[n] for n in range(26))
 
     add("sq12-closed-form-upto-25", True, closed_form_matches)
 
     def limit_band():
         seq = analysis.sq_expected_sequence(1, 2, 25)
-        return _fmt(all(abs(seq[n] - F(2, 5)) < F(1, 1000) for n in range(20, 26)))
+        return all(abs(seq[n] - F(2, 5)) < F(1, 1000) for n in range(20, 26))
 
     add("sq12-limit-2-5", True, limit_band)
 
@@ -362,7 +339,7 @@ def build_checks(memo: Memo) -> list[Check]:
             reduced, _, _ = matgame.eliminate_dominated(a)
             if matgame.game_value(reduced).value != sol.value:
                 return "dominance changed value"
-        return "true"
+        return True
 
     add("solver-certification-1000", True, solver_certification, suite="properties")
 
@@ -378,7 +355,7 @@ def build_checks(memo: Memo) -> list[Check]:
         lo, hi = matgame.fictitious_play([[0, 1], [1, 0]], 10_000)
         if not (lo <= F(1, 2) <= hi and hi - lo < F(2, 100)):
             return "matching-draws bracket too wide"
-        return "true"
+        return True
 
     add("fictitious-play-brackets", True, fp_brackets, suite="properties")
 
@@ -390,7 +367,7 @@ def build_checks(memo: Memo) -> list[Check]:
                 pair = continued_conjunctive(sample[i], sample[j])
                 if evaluate(pair, SCORING, memo=memo).ex != values[i] + values[j]:
                     return f"pair ({i},{j}) is not additive"
-        return "true"
+        return True
 
     add("cont-scoring-additivity-40", True, additivity, suite="properties")
 
@@ -404,7 +381,7 @@ def build_checks(memo: Memo) -> list[Check]:
                 prof = guarantee_profile(continued_conjunctive(g, h), NORMAL, memo=memo)
                 if (prof.ell, prof.arr) != (pg.ell * ph.ell, pg.arr * ph.arr):
                     return f"product law failed at {g.n},{h.n}"
-        return "true"
+        return True
 
     add("cont-index-product-100", True, index_product, suite="properties")
 
@@ -414,7 +391,7 @@ def build_checks(memo: Memo) -> list[Check]:
             prof = guarantee_profile(p, NORMAL, memo=memo)
             if not (0 <= prof.ell and 0 <= prof.arr and prof.ell + prof.arr <= 1):
                 return f"bounds violated at {p.canonical_key()}"
-        return "true"
+        return True
 
     add("index-bounds", True, index_bounds, suite="properties")
 
@@ -430,7 +407,7 @@ def build_checks(memo: Memo) -> list[Check]:
                 if got != evaluate(p, convention, memo=memo).ex:
                     return f"oracle disagrees on {text} ({convention})"
                 checked += 1
-        return "true" if checked >= 20 else f"only {checked} positions fit the oracle"
+        return checked >= 20 or f"only {checked} positions fit the oracle"
 
     add("oracle-agreement", True, oracle_sweep, suite="properties")
 
@@ -447,7 +424,7 @@ def build_checks(memo: Memo) -> list[Check]:
                     or prof.arr != 0
                 ):
                     return "draw component failed to force a draw"
-        return "true"
+        return True
 
     add("cont-draw-propagation", True, draw_propagation, suite="properties")
 
@@ -459,13 +436,12 @@ def build_checks(memo: Memo) -> list[Check]:
         wedge = ex_of("sq'{1}{2}(5) ^ sq'{1}{2}(6)")
         full = ex_of(f"{ADVERSARIAL_FULL} v {LEFT_LOSES_TERMINAL}")
         restricted = ex_of(f"{ADVERSARIAL_RESTRICTED} v {LEFT_LOSES_TERMINAL}")
-        ok = (
+        return (
             pair != two + two
             and wedge != five * six
             and wedge != five + six
             and full != restricted
         )
-        return _fmt(ok)
 
     add("non-compositionality-witnesses", True, non_compositional, suite="properties")
 
@@ -481,16 +457,17 @@ def run_suite(name: str) -> list[dict]:
     for check in build_checks(memo):
         if name != "all" and check.suite != name:
             continue
+        expected = _fmt(check.expected)
         try:
-            actual = check.run()
-            status = "pass" if actual == check.expected else "fail"
+            actual = _fmt(check.run())
+            status = "pass" if actual == expected else "fail"
         except Exception as exc:  # pragma: no cover - defensive
             actual = f"{type(exc).__name__}: {exc}"
             status = "error"
         records.append(
             {
                 "id": check.id,
-                "expected": check.expected,
+                "expected": expected,
                 "actual": actual,
                 "status": status,
             }

@@ -3,8 +3,8 @@
 All comparisons are exact rational equality unless a criterion states a
 band.  Two published figures do not survive exact recomputation: the
 conjunctive 5-and-6 strips and the mixed disjunctive sum under scoring.
-The verification manifest keeps them as published, flagged
-``known_discrepancy``, and reports them as failures.  The two tests here
+The verification manifest keeps them as published, lists them in
+``KNOWN_DISCREPANCIES``, and reports them as failures.  The two tests here
 read each published figure from the manifest, derive the exact value
 without the engine's recursion, and assert that the engine gives the
 derived value and the published figure does not.  Their criterion lines

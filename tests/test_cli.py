@@ -1,5 +1,8 @@
 """CLI behaviour: measures, formats, exit codes, determinism."""
 
+import contextlib
+import functools
+import io
 import json
 import re
 from fractions import Fraction as F
@@ -13,6 +16,7 @@ from simulgame.errors import LoopyGame
 from simulgame.verify import ACCEPTANCE_POSITIONS, build_checks
 
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "cli-schema.json"
+VERIFY_PINS = Path(__file__).resolve().parent / "data" / "verify_pins.json"
 
 
 def run(capsys, *argv):
@@ -391,10 +395,26 @@ def test_verify_text_format_and_all_suite(capsys):
     lines = out.splitlines()
     assert all(line.startswith("[PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
-    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    code, out = _verify_all_json()
     payload = json.loads(out)
     assert code == 1 and payload["failed"] == 2
     assert payload["passed"] + payload["failed"] == len(payload["checks"])
+
+
+@functools.cache
+def _verify_all_json():
+    """Exit code and stdout of one ``verify all --format json`` run, which
+    takes about a second, shared by the tests that read it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "all", "--format", "json"])
+    return code, out.getvalue()
+
+
+def test_verify_all_reproduces_pins():
+    # Every record of the manifest, as printed: id, expected, actual, status.
+    _, out = _verify_all_json()
+    assert json.loads(out)["checks"] == json.loads(VERIFY_PINS.read_text())["checks"]
 
 
 def test_verify_records_in_manifest_order(capsys):

@@ -210,6 +210,11 @@ def test_foreign_objects_rejected():
         outcome(42)
 
 
+def test_unknown_transform_rejected():
+    with pytest.raises(ValueError, match="unknown transform 'nonsense'"):
+        evaluate(sq({1}, {2}, 3), transform="nonsense")
+
+
 def test_canonical_key_commutes_for_sums():
     a, b = sq({1}, {2}, 3), sq({1}, {2}, 2)
     assert disjunctive(a, b).canonical_key() == disjunctive(b, a).canonical_key()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from simulgame import engine, matgame, oracle
+from simulgame.analysis import sq12_closed_form
 from simulgame.engine import NORMAL, SCORING, Memo, evaluate, guarantee_profile
 from simulgame.errors import SizeLimit
 from simulgame.gexpr import parse
@@ -50,6 +51,22 @@ def test_position_count_bound(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_POSITIONS", 10)
     with pytest.raises(SizeLimit):
         brute_ex(sq({1}, {2}, 30), NORMAL)
+
+
+def test_depth_bound():
+    # sq{1}{2}(498) is 249 moves deep and fits; sq{1}{2}(1500) meets the
+    # bound as a SizeLimit long before the recursive walk could exhaust
+    # Python's recursion limit.
+    assert brute_ex(sq({1}, {2}, 498)) == sq12_closed_form(498)
+    with pytest.raises(SizeLimit, match=f"reaches {oracle.MAX_DEPTH} moves"):
+        brute_ex(sq({1}, {2}, 1500))
+
+
+def test_unknown_convention_and_transform_rejected():
+    with pytest.raises(ValueError, match="unknown convention 'bogus'"):
+        brute_ex(parse("cl:K4"), "bogus")
+    with pytest.raises(ValueError, match="unknown transform 'nonsense'"):
+        brute_ex(sq({1}, {2}, 3), transform="nonsense")
 
 
 def test_profiles():

@@ -145,6 +145,7 @@ def test_draw_component_forces_draw():
 
 def test_continued_scoring_additivity_sample():
     sample = additivity_sample()
+    assert len(sample) == 40
     values = [evaluate(p, SCORING, memo=MEMO).ex for p in sample]
     # Spot-check the full battery here; the acceptance suite runs all pairs.
     for i in range(0, len(sample), 7):
