@@ -43,9 +43,17 @@ def reduce_game(p: Position, convention: str = NORMAL, *, memo: Memo | None = No
     memo = memo if memo is not None else Memo()
 
     def successors(q: Position) -> list:
-        cells = q.move_matrix().cells
-        moves = [g for _, g in q._kept(True) + q._kept(False)] if cells else []
-        return moves + [c for row in cells for c in row]
+        if q._keeps:
+            # Kept lists first, so the matrix reuses them; a terminal reads none.
+            if q.is_terminal():
+                return []
+            moves = q._kept(True) + q._kept(False)
+            cells = q.move_matrix().cells
+        else:
+            # A board keeps nothing: its matrix builds the lists, read again if it is live.
+            cells = q.move_matrix().cells
+            moves = q._kept(True) + q._kept(False) if cells else ()
+        return [g for _, g in moves] + [c for row in cells for c in row]
 
     def rebuild(q: Position, reduced: list) -> Position:
         if not reduced:  # only a terminal has no successors

@@ -6,7 +6,10 @@ One memoised walk serves every query: ``position._postorder``, the library's
 one post-order fold, so a game of any depth evaluates without recursion.
 It carries a tuple of payoff transforms: each node builds its key and
 matrix once, reads its terminal payoff once at a leaf, and solves its matrix
-once per transform.  Its table of finished nodes is the memo, with one entry
+once per transform.  A matrix may hold one object in many cells, so the walk
+reads each distinct cell object's key and memo entry once per matrix and
+lays the values out by the matrix's layout, each cell's index among the
+distinct ones.  Its table of finished nodes is the memo, with one entry
 per node and walk: the node's values, one per transform, keyed by
 (canonical key, convention, transforms).  A key may stand for several
 isomorphic boards whose options come in different orders, so mixes are
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .matgame import game_value, saddle_value
 from .position import (
@@ -147,8 +149,9 @@ def evaluate(
     if matrix.is_empty:
         report = ValueReport(_terminal_payoff(p, convention, transforms)[0], (), ())
     else:
-        cells = iter(_walk(chain.from_iterable(matrix.cells), convention, transforms, table))
-        values = [[next(cells)[0] for _ in row] for row in matrix.cells]
+        distinct, layout = _distinct_cells(matrix)
+        cells = _walk(distinct, convention, transforms, table)
+        values = [[cells[k][0] for k in row] for row in layout]
         sol = game_value(values)
         report = ValueReport(
             sol.value, sol.row_mix, sol.col_mix,
@@ -162,25 +165,46 @@ def _walk(roots, convention, transforms, memo: Memo) -> list:
     """Values of each root, one per transform, folded on ``_postorder``.
     Its table of finished nodes is the memo itself, read through ``Memo.get``
     and written through ``Memo.put``: one entry per node, keyed by
-    (canonical key, convention, transforms)."""
-    widths = []  # matrix widths of the expanded nodes on the walk's stack, innermost last
+    (canonical key, convention, transforms).  A node's children are the
+    distinct cell objects of its matrix, so each is keyed and looked up once
+    per matrix however many cells it fills."""
+    layouts = []  # matrix layouts of the expanded nodes on the walk's stack, innermost last
 
     def expand(q):
-        matrix = q.move_matrix()
-        widths.append(len(matrix.col_labels))
-        return chain.from_iterable(matrix.cells)
+        distinct, layout = _distinct_cells(q.move_matrix())
+        layouts.append(layout)
+        return distinct
 
     def combine(q, cells):
-        width = widths.pop()
+        layout = layouts.pop()
         if not cells:
             return _terminal_payoff(q, convention, transforms)
         return tuple(
-            _matrix_value([[c[t] for c in cells[i:i + width]] for i in range(0, len(cells), width)])
+            _matrix_value([[cells[k][t] for k in row] for row in layout])
             for t in range(len(transforms))
         )
 
     key = lambda q: (q.canonical_key(), convention, transforms)
     return _postorder(roots, expand, combine, key, (memo.get, memo.put))
+
+
+def _distinct_cells(matrix) -> tuple[list, list[list[int]]]:
+    """The distinct cell objects of a move matrix in order of first
+    appearance, and its layout: each cell's index into that list, row by
+    row.  Cells are told apart by identity, so equal boards that are
+    separate objects stay apart, as they were when each cell was looked up."""
+    distinct: list = []
+    index: dict = {}
+    layout = []
+    for row in matrix.cells:
+        out = []
+        for cell in row:
+            k = index.setdefault(id(cell), len(index))
+            if k == len(distinct):
+                distinct.append(cell)
+            out.append(k)
+        layout.append(out)
+    return distinct, layout
 
 
 def _matrix_value(rows) -> Fraction:

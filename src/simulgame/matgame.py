@@ -38,7 +38,8 @@ class Solution:
 
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    """Validate shape and convert entries to Fraction."""
+    """Validate shape and convert entries to Fraction, in new row lists;
+    entries that already are ``Fraction``s are taken as they are."""
     if not rows or not rows[0]:
         raise BadParameters("matrix must have at least one row and one column")
     width = len(rows[0])
@@ -46,7 +47,7 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     for row in rows:
         if len(row) != width:
             raise BadParameters("matrix rows have unequal lengths")
-        out.append([Fraction(x) for x in row])
+        out.append([x if type(x) is Fraction else Fraction(x) for x in row])
     return out
 
 
@@ -151,10 +152,25 @@ def saddle_value(rows: Sequence[Sequence[Fraction]]) -> Fraction | None:
     The best row minimum (maximin) never exceeds the least column maximum
     (minimax); they are equal exactly when some entry is the least of its
     row and the greatest of its column, and that entry is then the value.
-    No mix is computed.
+    No mix is computed.  When entry objects repeat, as in the walk, where
+    every cell that reads one memo entry holds one object, the distinct
+    objects are sorted once, equal values share one int rank, and maximin
+    and minimax are read on the ranks; otherwise entries are compared
+    directly.
     """
-    maximin = max(map(min, rows))
-    return maximin if maximin == min(map(max, zip(*rows))) else None
+    distinct = {id(x): x for row in rows for x in row}
+    if len(distinct) == sum(map(len, rows)):
+        maximin = max(map(min, rows))
+        return maximin if maximin == min(map(max, zip(*rows))) else None
+    values = []  # one per rank, ascending
+    rank = {}
+    for x in sorted(distinct.values()):
+        if not values or x != values[-1]:
+            values.append(x)
+        rank[id(x)] = len(values) - 1
+    ranked = [[rank[id(x)] for x in row] for row in rows]
+    maximin = max(map(min, ranked))
+    return values[maximin] if maximin == min(map(max, zip(*ranked))) else None
 
 
 def _integer_image(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:

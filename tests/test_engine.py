@@ -21,7 +21,7 @@ from simulgame.engine import (
 )
 from simulgame.errors import LoopyGame, UnknownRuleset
 from simulgame.gexpr import parse
-from simulgame.matgame import game_value, saddle_value, support_enumeration_value
+from simulgame.matgame import SUPPORT_MAX_SIDE, game_value, saddle_value, support_enumeration_value
 from simulgame.position import ExplicitGame, Position, outcome_literal, score
 from simulgame.rulesets import (
     ClobberPosition,
@@ -353,6 +353,36 @@ def test_presolve_value_is_the_game_value():
     assert 0 < saddles < 400
 
 
+def test_saddle_value_on_repeated_entries():
+    """Matrices drawn from a small pool of shared entries, plus fresh copies
+    of equal value, so that ties run across objects, as in the walk's value
+    rows.  ``saddle_value`` ranks repeated objects; its reading must match
+    maximin and minimax read directly, and the exact value where a saddle
+    exists."""
+    rng = random.Random(31)
+    pool = [F(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+    saddles = mixed = 0
+    for trial in range(300):
+        side = SUPPORT_MAX_SIDE if trial % 2 else 16
+        m, n = rng.randint(1, side), rng.randint(1, side)
+        shared = rng.sample(pool, rng.randint(1, 6))
+        rows = [
+            [F(x) if rng.random() < 0.2 else x for x in rng.choices(shared, k=n)]
+            for _ in range(m)
+        ]
+        maximin = max(map(min, rows))
+        direct = maximin if maximin == min(map(max, zip(*rows))) else None
+        value = saddle_value(rows)
+        assert value == direct
+        assert (value is not None) == _has_pure_saddle(rows)
+        if max(m, n) <= SUPPORT_MAX_SIDE:
+            exact = support_enumeration_value(rows)
+            assert value is None or value == exact
+        saddles += value is not None
+        mixed += value is None
+    assert saddles > 30 and mixed > 30
+
+
 def test_profile_bounds():
     memo = Memo()
     sample = [sq({1, 4}, {2}, n, primed=True) for n in range(7)]
@@ -501,9 +531,9 @@ def test_memo_traffic_is_pinned(monkeypatch):
     monkeypatch.setattr(Memo, "get", counting_get)
     monkeypatch.setattr(Memo, "put", counting_put)
     queries = [
-        (lambda: evaluate(parse("sq{1,2}{1,3}(7) ^ sq{1,2}{2,3}(6)"), NORMAL, memo=Memo()), 3168, 31),
+        (lambda: evaluate(parse("sq{1,2}{1,3}(7) ^ sq{1,2}{2,3}(6)"), NORMAL, memo=Memo()), 135, 31),
         (lambda: evaluate(parse("cl:K6"), SCORING, memo=Memo()), 55, 10),
-        (lambda: guarantee_profile(parse("sq{1,2}{1,3}(8)"), memo=Memo()), 109, 9),
+        (lambda: guarantee_profile(parse("sq{1,2}{1,3}(8)"), memo=Memo()), 31, 9),
     ]
     for query, gets, puts in queries:
         counts.update(get=0, put=0)
@@ -511,10 +541,33 @@ def test_memo_traffic_is_pinned(monkeypatch):
         assert counts == {"get": gets, "put": puts}
 
 
+@pytest.mark.parametrize("text", ["sq{1,2}{1,3}(7) ^ sq{1,2}{2,3}(6)", "sq{1}{2}(6) ^ sq{1,2}{2,3}(5)"])
+def test_walk_looks_up_each_distinct_cell_once_per_matrix(monkeypatch, text):
+    """One Memo.get per distinct cell object of each matrix the walk expands:
+    the root's and one per memo entry, found here by a key-deduplicated
+    traversal of the game.  Strips and sums are interned, so distinct
+    objects are distinct values, and far fewer than the cells."""
+    matrices = {}
+    stack = [parse(text)]
+    while stack:
+        q = stack.pop()
+        if q.canonical_key() not in matrices:
+            matrices[q.canonical_key()] = cells = q.move_matrix().cells
+            stack.extend(c for row in cells for c in row)
+    distinct = sum(len({id(c) for row in cells for c in row}) for cells in matrices.values())
+    gets = []
+    get = Memo.get
+    monkeypatch.setattr(Memo, "get", lambda memo, key: gets.append(key) or get(memo, key))
+    memo = Memo()
+    evaluate(parse(text), NORMAL, memo=memo)
+    assert len(memo) == len(matrices)
+    assert len(gets) == distinct < sum(len(row) for cells in matrices.values() for row in cells)
+
+
 def test_sum_construction_is_pinned(monkeypatch):
     """Sums built while evaluating a ^ pair of strips: one per class of equal
-    cells in each matrix the walk builds, where the memo traffic above is
-    one lookup per cell."""
+    cells in each matrix the walk builds, as the memo traffic above is one
+    lookup per distinct cell object of each matrix the walk expands."""
     built = []
     init = SumPosition.__init__
 
