@@ -152,14 +152,18 @@ def saddle_value(rows: Sequence[Sequence[Fraction]]) -> Fraction | None:
     The best row minimum (maximin) never exceeds the least column maximum
     (minimax); they are equal exactly when some entry is the least of its
     row and the greatest of its column, and that entry is then the value.
-    No mix is computed.  When entry objects repeat, as in the walk, where
-    every cell that reads one memo entry holds one object, the distinct
-    objects are sorted once, equal values share one int rank, and maximin
-    and minimax are read on the ranks; otherwise entries are compared
-    directly.
+    No mix is computed.  Entry objects may repeat, as in the walk, where
+    every cell that reads one memo entry holds one object.  Reading the
+    entries directly compares 2mn - 2 of them.  Ranking sorts the d
+    distinct objects in at most d * bit_length(d) comparisons and tells
+    equal neighbours apart in d - 1 more, so equal values share one int
+    rank, and then reads maximin and minimax on the ranks.  The path that
+    compares fewer entries is taken, so a matrix of all separate objects
+    is read directly.
     """
     distinct = {id(x): x for row in rows for x in row}
-    if len(distinct) == sum(map(len, rows)):
+    d = len(distinct)
+    if d * d.bit_length() + d - 1 >= 2 * sum(map(len, rows)) - 2:
         maximin = max(map(min, rows))
         return maximin if maximin == min(map(max, zip(*rows))) else None
     values = []  # one per rank, ascending

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 from .errors import BadCordonSpec, BadParameters
 from .position import Position, _interned
+from .sums import DISJUNCTIVE
 
 BLUE, RED, GREEN = "B", "R", "G"
 
@@ -123,12 +124,43 @@ class ClobberPosition(Position):
 
     A move always lands on a square that held an opposing piece, so an
     empty square never fills again: the game is the coloured graph induced
-    on the occupied squares, plus ``acc``.  The canonical key spells that
+    on the occupied squares, plus ``acc``.  Its connected regions are
+    keyed apart, by the rules proved below.  A region holding both colours
+    is live; it has an X next to an O, so both players have a move there.
+    A region of one colour is dead.  The key of one region spells its
     graph relabelled in a colour-refinement order, so boards that differ
     only by a relabelling (a reversed path, a segment moved along the
-    board, the pieces of ``cl:Kn``) usually share one key.  Equal keys
-    always mean isomorphic games; ties the refinement cannot split may give
-    isomorphic boards different keys, which loses sharing but no value.
+    board, the pieces of ``cl:Kn``) usually share one key.  Ties the
+    refinement cannot split may give isomorphic boards different keys,
+    which loses sharing but no value.
+
+    * A dead region never moves and scores nothing.  It has no X next to
+      an O, no region borders another, and empty squares never fill, so
+      none of its squares ever gains a neighbour of the other colour.  A
+      capture anywhere else adds to ``acc`` alone.  So dropping it from
+      the key changes no option, cell, stop, winner or score.
+    * A board with several live regions is isomorphic to the ``+`` sum of
+      the regions, each a board of its own with ``acc`` 0, plus ``s(acc)``
+      when ``acc`` is not 0.  A player's options on the board are the
+      moves in every region, and a ``+`` strategy is one move in one
+      component: the same set, one for one.  Moves in two regions touch
+      disjoint squares and each resolves as the unilateral move of its
+      region, which is the sum's cell; two moves in one region resolve as
+      that region's own cell.  Each capture adds one to ``acc`` on the
+      board and to the region's count in the sum.  Either player has a
+      move exactly while some region is live, so play stops on both at
+      once, both then draw under normal play, and the board scores the
+      total capture count, as the sum does over its components.
+    * A board with no live region is terminal: a draw that scores ``acc``,
+      which is the game ``s(acc)``.
+
+    So the key is that of its live regions: one alone, with ``acc``;
+    several, as ``SumPosition`` keys that ``+`` sum; none, ``s(acc)``.
+    Equal keys occur only between isomorphic games: a region's spelling
+    names its graph, colours and count, a sum's key its components' keys,
+    and ``s(acc)`` its score, and each key names a game isomorphic to the
+    board by the rules above.  The root builds its own matrix, so its
+    labels and mixes follow its own squares.
     """
 
     edges: frozenset[tuple[int, int]]
@@ -188,8 +220,33 @@ class ClobberPosition(Position):
         return ClobberPosition(self.edges, tuple(occ), acc)
 
     def _key_text(self) -> str:
+        """The key of the live regions: one alone with ``acc``, several as
+        the ``+`` sum of them with ``s(acc)``, none as ``s(acc)``."""
+        neighbors, occ = self._neighbors(), self.occupancy
+        live, seen = [], set()
+        for start, ch in enumerate(occ):
+            if ch == "_" or start in seen:
+                continue
+            seen.add(start)
+            region = [start]
+            for u in region:  # grows while it is read: a breadth-first search
+                for v in neighbors[u]:
+                    if v not in seen and occ[v] != "_":
+                        seen.add(v)
+                        region.append(v)
+            if any(occ[u] != ch for u in region):
+                live.append(region)
+        score = f"s({self.acc})"  # the key of ``score(acc)``
+        if len(live) < 2:
+            return self._region_key(live[0], self.acc) if live else score
+        keys = [self._region_key(region, 0) for region in live] + ([score] if self.acc else [])
+        return f"{DISJUNCTIVE}({';'.join(sorted(keys))})"
+
+    def _region_key(self, region, acc) -> str:
+        """The colour-refinement spelling of the board made of ``region``'s
+        squares alone, numbered in board order, with capture count ``acc``."""
         neighbors = self._neighbors()
-        colour = {u: ch for u, ch in enumerate(self.occupancy) if ch != "_"}
+        colour = {u: self.occupancy[u] for u in region}
         classes = len(set(colour.values()))
         while True:
             signature = {
@@ -207,7 +264,7 @@ class ClobberPosition(Position):
             tuple(sorted((index[u], index[v]))) for u, v in self.edges if u in index and v in index
         )
         es = ",".join(f"{a}-{b}" for a, b in edges)
-        return f"cl({es}|{''.join(self.occupancy[u] for u in order)}|{self.acc})"
+        return f"cl({es}|{''.join(self.occupancy[u] for u in order)}|{acc})"
 
     def _score(self) -> Fraction:
         return Fraction(self.acc)

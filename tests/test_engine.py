@@ -22,6 +22,7 @@ from simulgame.engine import (
 from simulgame.errors import LoopyGame, UnknownRuleset
 from simulgame.gexpr import parse
 from simulgame.matgame import SUPPORT_MAX_SIDE, game_value, saddle_value, support_enumeration_value
+from simulgame.oracle import brute_ex
 from simulgame.position import ExplicitGame, Position, outcome_literal, score
 from simulgame.rulesets import (
     ClobberPosition,
@@ -426,8 +427,8 @@ def test_memo_insertion_idempotent():
         memo.put(("k", NORMAL, None), 2)
 
 
-def _random_board(rng):
-    n = rng.randint(2, 5)
+def _random_board(rng, n=None):
+    n = n or rng.randint(2, 5)
     edges = frozenset((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5)
     occupancy = tuple(rng.choice("XXOO_") for _ in range(n))
     return ClobberPosition(edges, occupancy, rng.randint(0, 2))
@@ -470,6 +471,105 @@ def test_isomorphic_clobber_boards_share_memo_entries():
     for cells in ("OXOO", "OXXOX", "__OXO_X"):
         assert clobber_strip(cells).canonical_key() == clobber_strip(cells[::-1]).canonical_key()
     assert clobber_strip("OXO__").canonical_key() == clobber_strip("__OXO").canonical_key()
+
+
+def _live_regions(board):
+    """The board's live regions, found by merging edges between occupied
+    squares, each a board of its own numbered in board order with ``acc`` 0."""
+    occ = board.occupancy
+    root = {u: u for u, ch in enumerate(occ) if ch != "_"}
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    for u, v in board.edges:
+        if u in root and v in root:
+            root[find(u)] = find(v)
+    regions = {}
+    for u in root:
+        regions.setdefault(find(u), []).append(u)
+    out = []
+    for squares in regions.values():
+        if {occ[u] for u in squares} == {"X", "O"}:
+            index = {u: i for i, u in enumerate(sorted(squares))}
+            edges = frozenset((index[u], index[v]) for u, v in board.edges if u in index and v in index)
+            out.append(ClobberPosition(edges, tuple(occ[u] for u in sorted(squares))))
+    return out
+
+
+def _as_sum(board):
+    """The game the board is isomorphic to: ``s(acc)`` with no live region,
+    the one live region with ``acc``, or the ``+`` sum of several plus
+    ``s(acc)`` when ``acc`` is not 0."""
+    regions = _live_regions(board)
+    if not regions:
+        return score(board.acc)
+    if len(regions) == 1:
+        (region,) = regions
+        return ClobberPosition(region.edges, region.occupancy, board.acc)
+    return disjunctive(*regions, *([score(board.acc)] if board.acc else []))
+
+
+def _with_dead_region(board, rng):
+    """The board with a clump of one colour appended, joined to itself and to
+    the board's empty squares only, so it is a region that can never move."""
+    n, k = len(board.occupancy), rng.randint(1, 3)
+    clump = range(n, n + k)
+    empty = [u for u, ch in enumerate(board.occupancy) if ch == "_"]
+    edges = {(u, v) for u in clump for v in clump if u < v and rng.random() < 0.6}
+    edges |= {(u, v) for u in empty for v in clump if rng.random() < 0.5}
+    return ClobberPosition(board.edges | edges, board.occupancy + (rng.choice("XO"),) * k, board.acc)
+
+
+def _split_boards():
+    """Seeded strips with gaps, parsed, and seeded graphs with gaps and a
+    capture count, each paired with the game its live regions make."""
+    rng = random.Random(32)
+    for _ in range(60):
+        runs = ["".join(rng.choice("XO") for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(1, 3))]
+        cells = "".join(run + "_" * rng.randint(1, 2) for run in runs)
+        regions = [run for run in cells.split("_") if "X" in run and "O" in run]
+        text = " + ".join(f"cl[{run}]" for run in regions) if len(regions) > 1 else None
+        yield parse(f"cl[{cells}]"), parse(text) if text else None
+    for _ in range(120):
+        # One to three random graphs side by side, their squares shuffled together.
+        boards = [_random_board(rng, rng.randint(2, 3)) for _ in range(rng.randint(1, 3))]
+        occupancy = [ch for board in boards for ch in board.occupancy]
+        place = rng.sample(range(len(occupancy)), len(occupancy))
+        edges, start = set(), 0
+        for board in boards:
+            edges |= {tuple(sorted((place[start + u], place[start + v]))) for u, v in board.edges}
+            start += len(board.occupancy)
+        shuffled = [None] * len(occupancy)
+        for u, ch in enumerate(occupancy):
+            shuffled[place[u]] = ch
+        yield ClobberPosition(frozenset(edges), tuple(shuffled), rng.randint(0, 2)), None
+
+
+def test_split_boards_are_the_sum_of_their_live_regions():
+    """A board keys and values as the ``+`` sum of its live regions (plus
+    ``s(acc)``), one region with ``acc``, or ``s(acc)``; dead regions change
+    no key.  Values are read with the memo off, so no key decides one, and
+    checked against the oracle, which keys nothing."""
+    rng = random.Random(33)
+    kinds = {0: 0, 1: 0, 2: 0}
+    for board, parsed in _split_boards():
+        game = _as_sum(board)
+        regions = len(_live_regions(board))
+        kinds[min(regions, 2)] += 1
+        assert board.canonical_key() == game.canonical_key()
+        if parsed is not None:
+            assert parsed == game and parsed.canonical_key() == board.canonical_key()
+        assert _with_dead_region(board, rng).canonical_key() == board.canonical_key()
+        for convention in (NORMAL, SCORING):
+            value = evaluate(board, convention, memo=_NoStore()).ex
+            assert evaluate(game, convention, memo=_NoStore()).ex == value
+            profile = guarantee_profile(board, convention, memo=_NoStore())
+            assert guarantee_profile(game, convention, memo=_NoStore()) == profile
+            assert brute_ex(board, convention) == brute_ex(game, convention) == value
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_root_mixes_follow_the_root_under_a_shared_memo():
